@@ -1,0 +1,230 @@
+// Golden decision digests: every policy, over three checked-in SWF fixtures
+// of the paper workload, at the paper's load and compressed past the knee
+// (inter-arrivals x0.35), under every overload mode. Each run is reduced to
+// fnv1a digests of
+//
+//   stats    — every AdmissionStats and RunSummary field plus each job's
+//              outcome, from an unobserved run (the batch spread bound is
+//              armed, so its skip counters are covered);
+//   lrt      — the .lrt bytes, margins on, from a traced run;
+//   explain  — every ExplainRecorder record, its counts and sigma extremes,
+//              from the same traced run;
+//   observed — the stats digest of that traced run.
+//
+// and compared with tests/data/golden_digests.txt. The digests pin the
+// decisions, the trace bytes and the counters of the admission paths, so a
+// restructuring of them has to leave all three unchanged.
+//
+// Fixtures rather than synthesis: workload synthesis calls std::exp and
+// std::log, whose last bits differ between libm builds; the simulation and
+// admission code calls no transcendental libm function. Reading the jobs
+// from SWF keeps the digests independent of the host's libm.
+//
+// A mismatching or missing entry fails with the line the run produced, in
+// the golden file's format.
+#include <gtest/gtest.h>
+
+#include <cctype>
+#include <cstdint>
+#include <cstring>
+#include <fstream>
+#include <map>
+#include <sstream>
+#include <string>
+#include <tuple>
+#include <type_traits>
+#include <vector>
+
+#include "core/factory.hpp"
+#include "core/overload.hpp"
+#include "exp/scenario.hpp"
+#include "obs/explain.hpp"
+#include "support/rng.hpp"
+#include "trace/recorder.hpp"
+#include "trace/sink.hpp"
+#include "workload/job.hpp"
+#include "workload/swf.hpp"
+
+namespace librisk {
+namespace {
+
+constexpr const char* kFixtures[] = {"paper_seed1", "paper_seed2",
+                                     "paper_seed3"};
+constexpr double kHotScale = 0.35;
+
+/// Byte accumulator for one digest: values are appended as their object
+/// representation (doubles by bit pattern), then hashed once.
+class Digest {
+ public:
+  template <typename T>
+  Digest& add(const T& value) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    char raw[sizeof(T)];
+    std::memcpy(raw, &value, sizeof(T));
+    bytes_.append(raw, sizeof(T));
+    return *this;
+  }
+  [[nodiscard]] std::uint64_t value() const { return rng::fnv1a(bytes_); }
+
+ private:
+  std::string bytes_;
+};
+
+std::uint64_t stats_digest(const exp::ScenarioResult& r) {
+  Digest d;
+  const core::AdmissionStats& a = r.admission;
+  d.add(a.submissions).add(a.accepted).add(a.rejections);
+  d.add(a.nodes_scanned).add(a.assessments).add(a.empty_node_skips);
+  d.add(a.early_exits).add(a.batched_assessments).add(a.nodes_batch_skipped);
+  d.add(a.rejected_share_overflow).add(a.rejected_risk_sigma);
+  d.add(a.rejected_no_suitable_node).add(a.rejected_deadline_infeasible);
+  d.add(a.near_miss_share_5).add(a.near_miss_share_10);
+  d.add(a.near_miss_sigma_5).add(a.near_miss_sigma_10);
+  d.add(a.near_miss_deadline_5).add(a.near_miss_deadline_10);
+  d.add(a.degraded_admits).add(a.deferrals).add(a.shed_tail);
+  d.add(a.overload_activations);
+  const metrics::RunSummary& s = r.summary;
+  d.add(s.submitted).add(s.accepted).add(s.rejected_at_submit);
+  d.add(s.rejected_at_dispatch).add(s.fulfilled).add(s.completed_late);
+  d.add(s.killed).add(s.fulfilled_pct).add(s.avg_slowdown_fulfilled);
+  d.add(s.avg_slowdown_completed).add(s.avg_delay_late);
+  d.add(s.p95_slowdown_fulfilled).add(s.max_delay);
+  d.add(s.fulfilled_pct_high_urgency).add(s.fulfilled_pct_low_urgency);
+  d.add(s.makespan).add(s.utilization);
+  for (const exp::JobOutcome& o : r.outcomes) {
+    d.add(o.id).add(o.fate).add(o.verdict).add(o.delay).add(o.slowdown);
+    d.add(o.reason).add(o.node).add(o.sigma).add(o.margin);
+  }
+  return d.value();
+}
+
+std::uint64_t explain_digest(const obs::ExplainRecorder& rec) {
+  Digest d;
+  d.add(rec.recorded()).add(rec.dropped());
+  const obs::SigmaExtremes& x = rec.sigma_extremes();
+  d.add(x.pass_max).add(x.fail_min).add(x.passes).add(x.fails);
+  for (const obs::DecisionExplain& e : rec.decisions()) {
+    d.add(e.job_id).add(e.time).add(e.num_procs).add(e.deadline);
+    d.add(e.estimate).add(e.accepted).add(e.reason).add(e.suitable);
+    d.add(e.chosen_node).add(e.margin);
+    for (const obs::NodeMargin& m : e.nodes) {
+      d.add(m.node).add(m.suitable).add(m.test).add(m.sigma).add(m.share);
+      d.add(m.margin);
+    }
+  }
+  return d.value();
+}
+
+std::vector<workload::Job> load_fixture(const std::string& name, double scale) {
+  std::vector<workload::Job> jobs = workload::swf::read_file(
+      std::string(LIBRISK_TEST_DATA_DIR) + "/" + name + ".swf");
+  if (scale != 1.0) workload::scale_interarrivals(jobs, scale);
+  return jobs;
+}
+
+exp::Scenario scenario(core::Policy policy, core::DegradedMode mode) {
+  exp::Scenario s;
+  s.nodes = 32;
+  s.policy = policy;
+  s.options.overload.mode = mode;
+  return s;
+}
+
+std::string hex(std::uint64_t v) {
+  std::ostringstream os;
+  os << std::hex << v;
+  return os.str();
+}
+
+/// The golden file's line for one run (without the trailing newline).
+std::string run_line(core::Policy policy, const std::string& fixture,
+                     double scale, core::DegradedMode mode) {
+  const std::vector<workload::Job> jobs = load_fixture(fixture, scale);
+
+  const std::uint64_t stats = stats_digest(exp::run_jobs(scenario(policy, mode), jobs));
+
+  exp::Scenario s = scenario(policy, mode);
+  std::ostringstream lrt;
+  trace::SinkOptions sink_options;
+  sink_options.margins = true;
+  sink_options.overload = mode != core::DegradedMode::HardReject;
+  trace::BinarySink sink(lrt, {std::string(core::to_string(policy)), 1},
+                         sink_options);
+  trace::Recorder recorder(sink);
+  obs::ExplainConfig explain_config;
+  explain_config.capacity = 1u << 20;  // retain every record
+  obs::ExplainRecorder explain(explain_config);
+  s.options.hooks.trace = &recorder;
+  s.options.hooks.explain = &explain;
+  const exp::ScenarioResult observed = exp::run_jobs(s, jobs);
+  sink.close();
+
+  // Under DeferToSalvage the explain digest is not pinned: there a job's
+  // record is written by its last salvage retry, and test_libra.cpp checks
+  // those records against each job's final fate instead.
+  const bool pin_explain = mode != core::DegradedMode::DeferToSalvage;
+  std::ostringstream line;
+  line << core::to_string(policy) << ' ' << fixture << ' '
+       << (scale == 1.0 ? "paper" : "hot") << ' ' << core::to_string(mode)
+       << ' ' << hex(stats) << ' ' << hex(rng::fnv1a(lrt.str()))
+       << ' ' << (pin_explain ? hex(explain_digest(explain)) : "-") << ' '
+       << hex(stats_digest(observed));
+  return line.str();
+}
+
+/// Golden lines keyed by their first four fields.
+const std::map<std::string, std::string>& golden() {
+  static const std::map<std::string, std::string> table = [] {
+    std::map<std::string, std::string> t;
+    std::ifstream in(std::string(LIBRISK_TEST_DATA_DIR) + "/golden_digests.txt");
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.empty() || line[0] == '#') continue;
+      std::istringstream is(line);
+      std::string policy, fixture, load, mode;
+      is >> policy >> fixture >> load >> mode;
+      t[policy + ' ' + fixture + ' ' + load + ' ' + mode] = line;
+    }
+    return t;
+  }();
+  return table;
+}
+
+class GoldenDigests
+    : public ::testing::TestWithParam<std::tuple<core::Policy, const char*>> {};
+
+TEST_P(GoldenDigests, MatchCommitted) {
+  const auto [policy, fixture] = GetParam();
+  for (const double scale : {1.0, kHotScale}) {
+    for (const core::DegradedMode mode : core::all_degraded_modes()) {
+      const std::string actual = run_line(policy, fixture, scale, mode);
+      std::istringstream is(actual);
+      std::string p, f, l, m;
+      is >> p >> f >> l >> m;
+      const auto it = golden().find(p + ' ' + f + ' ' + l + ' ' + m);
+      if (it == golden().end()) {
+        ADD_FAILURE() << "no golden entry; run produced:\n" << actual;
+        continue;
+      }
+      EXPECT_EQ(it->second, actual);
+    }
+  }
+}
+
+std::string param_name(
+    const ::testing::TestParamInfo<GoldenDigests::ParamType>& info) {
+  std::string name = std::string(core::to_string(std::get<0>(info.param))) +
+                     "_" + std::get<1>(info.param);
+  for (char& c : name)
+    if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPolicies, GoldenDigests,
+    ::testing::Combine(::testing::ValuesIn(core::all_policies()),
+                       ::testing::ValuesIn(kFixtures)),
+    param_name);
+
+}  // namespace
+}  // namespace librisk
