@@ -125,7 +125,8 @@ class ExplainRecorder {
 
   // ---- recording protocol (scheduler-facing, one decision at a time) ----
 
-  /// Opens a decision record at submission.
+  /// Opens a decision record at submission. A record still open (a decision
+  /// deferred without a verdict) is discarded.
   void begin(sim::SimTime time, std::int64_t job_id, int num_procs,
              double deadline, double estimate);
   /// Adds one evaluated node; also folds sigma into the extremes.
