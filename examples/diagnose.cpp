@@ -28,8 +28,7 @@ int main(int argc, char** argv) {
   auto& hu_opt = parser.add<double>("high-urgency", "high-urgency fraction", 0.20);
   auto& overload_opt = parser.add<std::string>(
       "overload-mode",
-      "graceful-degradation mode: hard-reject | shed-tail | relax-sigma | "
-      "defer-to-salvage | downgrade-qos",
+      "graceful-degradation mode: " + core::degraded_mode_names(" | "),
       "hard-reject");
   auto& load_scale_opt = parser.add<double>(
       "load-scale", "inter-arrival gap factor (< 1 raises offered load)", 1.0);

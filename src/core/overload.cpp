@@ -5,14 +5,34 @@
 
 namespace librisk::core {
 
+namespace {
+/// The catalog row for `mode`, or null for a value outside the catalog.
+const ModeSpec* find_mode(DegradedMode mode) noexcept {
+  for (const ModeSpec& spec : kOverloadCatalog)
+    if (spec.mode == mode) return &spec;
+  return nullptr;
+}
+}  // namespace
+
 std::string_view to_string(DegradedMode mode) noexcept {
-  return kOverloadCatalog[static_cast<std::size_t>(mode)].name;
+  const ModeSpec* spec = find_mode(mode);
+  return spec != nullptr ? spec->name : "unknown";
 }
 
 DegradedMode parse_degraded_mode(std::string_view name) {
   for (const ModeSpec& spec : kOverloadCatalog)
     if (spec.name == name) return spec.mode;
-  throw std::invalid_argument("unknown degraded mode: " + std::string(name));
+  throw std::invalid_argument("unknown degraded mode: " + std::string(name) +
+                              " (valid: " + degraded_mode_names(", ") + ")");
+}
+
+std::string degraded_mode_names(std::string_view separator) {
+  std::string names;
+  for (const ModeSpec& spec : kOverloadCatalog) {
+    if (!names.empty()) names += separator;
+    names += spec.name;
+  }
+  return names;
 }
 
 std::array<DegradedMode, kDegradedModeCount> all_degraded_modes() {
@@ -23,11 +43,11 @@ std::array<DegradedMode, kDegradedModeCount> all_degraded_modes() {
 }
 
 const ModeSpec& mode_spec(DegradedMode mode) {
-  const auto index = static_cast<std::size_t>(mode);
-  if (index >= kOverloadCatalog.size())
-    throw std::logic_error("mode_spec: out-of-range DegradedMode " +
-                           std::to_string(index));
-  return kOverloadCatalog[index];
+  const ModeSpec* spec = find_mode(mode);
+  if (spec == nullptr)
+    throw std::logic_error("mode_spec: unknown DegradedMode " +
+                           std::to_string(static_cast<int>(mode)));
+  return *spec;
 }
 
 void audit_catalog() {
@@ -36,7 +56,7 @@ void audit_catalog() {
   // nicer to report at runtime.
   for (std::size_t i = 0; i < kOverloadCatalog.size(); ++i) {
     const ModeSpec& spec = kOverloadCatalog[i];
-    if (static_cast<std::size_t>(spec.mode) != i)
+    if (i > 0 && kOverloadCatalog[i - 1].mode >= spec.mode)
       throw std::logic_error("overload catalog: entry " + std::to_string(i) +
                              " is out of order");
     if ((spec.forbidden & kUniversalForbidden) != kUniversalForbidden)
@@ -59,15 +79,11 @@ void audit_catalog() {
 }
 
 void OverloadConfig::validate() const {
-  if (static_cast<std::size_t>(mode) >= kOverloadCatalog.size())
+  if (find_mode(mode) == nullptr)
     throw std::invalid_argument("OverloadConfig: unknown mode");
   if (!(activation_load >= 0.0))
     throw std::invalid_argument(
         "OverloadConfig: activation_load must be >= 0");
-  if (!(tail_share > 0.0))
-    throw std::invalid_argument("OverloadConfig: tail_share must be > 0");
-  if (!(relax_sigma >= 0.0))
-    throw std::invalid_argument("OverloadConfig: relax_sigma must be >= 0");
   if (!(defer_delay > 0.0))
     throw std::invalid_argument("OverloadConfig: defer_delay must be > 0");
   if (max_deferrals < 1)

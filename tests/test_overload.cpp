@@ -47,6 +47,17 @@ TEST(OverloadCatalog, WireNamesRoundTrip) {
     EXPECT_EQ(core::parse_degraded_mode(core::to_string(mode)), mode);
   EXPECT_THROW((void)core::parse_degraded_mode("graceful"),
                std::invalid_argument);
+  // The retired modes are gone from the wire vocabulary; their values
+  // (1, 2) stay reserved so the remaining wire values are unchanged.
+  EXPECT_THROW((void)core::parse_degraded_mode("shed-tail"),
+               std::invalid_argument);
+  EXPECT_THROW((void)core::parse_degraded_mode("relax-sigma"),
+               std::invalid_argument);
+  EXPECT_EQ(static_cast<int>(DegradedMode::DeferToSalvage), 3);
+  EXPECT_EQ(static_cast<int>(DegradedMode::DowngradeQoS), 4);
+  EXPECT_EQ(core::to_string(static_cast<DegradedMode>(1)), "unknown");
+  EXPECT_THROW((void)core::mode_spec(static_cast<DegradedMode>(2)),
+               std::logic_error);
   // Wire names are exact: no case folding, no aliases.
   EXPECT_THROW((void)core::parse_degraded_mode("HardReject"),
                std::invalid_argument);
@@ -70,9 +81,6 @@ TEST(OverloadCatalog, UniversalFlagsForbiddenForEveryMode) {
 
 TEST(OverloadCatalog, EachLicenseBelongsToExactlyOneMode) {
   for (const core::ModeSpec& spec : core::kOverloadCatalog) {
-    EXPECT_EQ(core::mode_allows(spec.mode, core::kForbidRelaxedRisk),
-              spec.mode == DegradedMode::RelaxSigma)
-        << spec.name;
     EXPECT_EQ(core::mode_allows(spec.mode, core::kForbidDeadlineRewrite),
               spec.mode == DegradedMode::DowngradeQoS)
         << spec.name;
@@ -90,10 +98,7 @@ TEST(OverloadConfig, ValidateAcceptsDefaultsRejectsBadKnobs) {
   bad.activation_load = -0.1;
   EXPECT_THROW(bad.validate(), std::invalid_argument);
   bad = ok;
-  bad.tail_share = 0.0;
-  EXPECT_THROW(bad.validate(), std::invalid_argument);
-  bad = ok;
-  bad.relax_sigma = -1.0;
+  bad.mode = static_cast<DegradedMode>(1);  // a retired mode's value
   EXPECT_THROW(bad.validate(), std::invalid_argument);
   bad = ok;
   bad.defer_delay = 0.0;
@@ -116,7 +121,7 @@ TEST(OverloadGovernor, HardRejectNeverEngages) {
 
 TEST(OverloadGovernor, EngagesAtActivationLoadAndCountsFlips) {
   core::OverloadConfig config;
-  config.mode = DegradedMode::ShedTail;
+  config.mode = DegradedMode::DeferToSalvage;
   config.activation_load = 0.5;
   core::OverloadGovernor governor{config};
   EXPECT_TRUE(governor.enabled());
@@ -160,8 +165,6 @@ TEST(OverloadIdentity, HardRejectByteIdenticalAcrossPoliciesAndSeeds) {
   // .lrt decision trace byte-identical to a default run.
   core::OverloadConfig noisy;  // mode stays HardReject
   noisy.activation_load = 0.25;
-  noisy.tail_share = 0.9;
-  noisy.relax_sigma = 2.0;
   noisy.defer_delay = 30.0;
   noisy.max_deferrals = 5;
   noisy.downgrade_factor = 3.0;
@@ -246,11 +249,9 @@ TEST(OverloadAccounting, PerReasonRejectionsSumExactly) {
           << "policy " << core::to_string(policy) << ", mode " << spec.name;
       // Degraded outcomes attribute, they do not add.
       EXPECT_LE(adm.degraded_admits, adm.accepted);
-      EXPECT_LE(adm.shed_tail, adm.rejected_share_overflow);
       if (spec.mode == DegradedMode::HardReject) {
         EXPECT_EQ(adm.degraded_admits, 0u);
         EXPECT_EQ(adm.deferrals, 0u);
-        EXPECT_EQ(adm.shed_tail, 0u);
         EXPECT_EQ(adm.overload_activations, 0u);
       }
     }
@@ -259,16 +260,10 @@ TEST(OverloadAccounting, PerReasonRejectionsSumExactly) {
 
 TEST(OverloadAccounting, EachModesMachineryActuallyFires) {
   // Guard against the degraded modes decaying into silent HardReject: past
-  // the knee, each mode's own counter must move under LibraRisk (for
-  // RelaxSigma, the sigma-bend host) or Libra (for the share-side modes).
-  std::uint64_t shed = 0, relaxed = 0, deferred = 0, downgraded = 0;
+  // the knee, each mode's own counter must move under LibraRisk.
+  std::uint64_t deferred = 0, downgraded = 0;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const std::vector<workload::Job> jobs = hot_jobs(400, seed);
-    shed += run_engine(core::Policy::Libra, DegradedMode::ShedTail, jobs)
-                .shed_tail;
-    relaxed +=
-        run_engine(core::Policy::LibraRisk, DegradedMode::RelaxSigma, jobs)
-            .degraded_admits;
     deferred +=
         run_engine(core::Policy::LibraRisk, DegradedMode::DeferToSalvage, jobs)
             .deferrals;
@@ -276,8 +271,6 @@ TEST(OverloadAccounting, EachModesMachineryActuallyFires) {
         run_engine(core::Policy::LibraRisk, DegradedMode::DowngradeQoS, jobs)
             .degraded_admits;
   }
-  EXPECT_GT(shed, 0u);
-  EXPECT_GT(relaxed, 0u);
   EXPECT_GT(deferred, 0u);
   EXPECT_GT(downgraded, 0u);
 }
@@ -294,10 +287,10 @@ TEST(OverloadAccounting, GatewayCertificateShedsSumToFastRejected) {
       for (const workload::Job& job : jobs) gateway.submit(job);
       gateway.close();
       const core::GatewayStats gs = gateway.stats();
-      EXPECT_EQ(gs.fast_rejected, gs.shed_no_suitable_node + gs.shed_share +
-                                      gs.shed_deadline + gs.shed_aggregate)
+      EXPECT_EQ(gs.fast_rejected,
+                gs.shed_no_suitable_node + gs.shed_share + gs.shed_deadline)
           << "policy " << core::to_string(policy) << ", mode " << spec.name;
-      // The C2 certificates are dropped under bend-licensed modes; shedding
+      // The C2 certificates are dropped under every degraded mode; shedding
       // must stay conservative either way — the audit replays every shed.
       EXPECT_EQ(gs.audit_violations, 0u)
           << "policy " << core::to_string(policy) << ", mode " << spec.name;
@@ -386,7 +379,7 @@ TEST(OverloadFederation, SpillAssignmentsAreDeterministic) {
   std::vector<int> first, second;
   for (std::vector<int>* run : {&first, &second}) {
     federation::Federation fed(
-        spill_config(DegradedMode::ShedTail, /*activation_load=*/0.3));
+        spill_config(DegradedMode::DowngradeQoS, /*activation_load=*/0.3));
     for (const workload::Job& job : jobs)
       run->push_back(fed.submit(job).shard);
     fed.finish();

@@ -1,4 +1,5 @@
 #include "tools/commands.hpp"
+#include "tools/common.hpp"
 
 #include <gtest/gtest.h>
 
@@ -165,6 +166,41 @@ TEST(Tool, MalformedConfigFails) {
   const ToolResult r = run_tool("run", {"--config", path});
   EXPECT_EQ(r.exit_code, 1);
   EXPECT_NE(r.err.find("JSON error"), std::string::npos) << r.err;
+}
+
+TEST(Tool, RetiredOverloadModesRejectedAtTheEdge) {
+  // shed-tail and relax-sigma left the catalog: both the flag and the JSON
+  // key must fail cleanly, and the error names the modes that remain.
+  for (const std::string mode : {"shed-tail", "relax-sigma"}) {
+    for (const char* command : {"run", "replay"}) {
+      const ToolResult flag = run_tool(command, {"--overload-mode", mode});
+      EXPECT_EQ(flag.exit_code, 2) << command << ' ' << mode;
+      EXPECT_NE(flag.err.find("unknown degraded mode: " + mode),
+                std::string::npos)
+          << flag.err;
+      EXPECT_NE(flag.err.find("hard-reject, defer-to-salvage, downgrade-qos"),
+                std::string::npos)
+          << flag.err;
+    }
+    const std::string path =
+        ::testing::TempDir() + "/tool_retired_" + mode + ".json";
+    {
+      std::ofstream out(path);
+      out << R"({"jobs": 50, "nodes": 8, "overload_mode": ")" << mode
+          << R"("})";
+    }
+    const ToolResult json = run_tool("run", {"--config", path});
+    EXPECT_EQ(json.exit_code, 2) << mode;
+    EXPECT_NE(json.err.find("unknown degraded mode: " + mode),
+              std::string::npos)
+        << json.err;
+  }
+  // The help text lists the catalog, not the retired names.
+  const std::string help = overload_mode_help();
+  EXPECT_NE(help.find("hard-reject | defer-to-salvage | downgrade-qos"),
+            std::string::npos)
+      << help;
+  EXPECT_EQ(help.find("shed-tail"), std::string::npos);
 }
 
 TEST(Tool, RunWithTelemetryExportsMatchSummary) {

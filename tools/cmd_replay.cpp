@@ -117,11 +117,7 @@ int run_gateway(const ReplayFlags& f, core::Policy policy,
                   table::num(shed_pct(gs.shed_share), 2)});
     shed.add_row({"C2 deadline", std::to_string(gs.shed_deadline),
                   table::num(shed_pct(gs.shed_deadline), 2)});
-    shed.add_row({"C3 aggregate", std::to_string(gs.shed_aggregate),
-                  table::num(shed_pct(gs.shed_aggregate), 2)});
     out << shed.str();
-    if (gs.shed_spikes > 0)
-      out << "shed spikes: " << gs.shed_spikes << " window crossings\n";
   }
   if (gs.flight_recorded > 0) {
     const obs::Histogram wait = gateway.flight().queue_wait_histogram();
@@ -134,12 +130,7 @@ int run_gateway(const ReplayFlags& f, core::Policy policy,
         << us(decide.quantile(50.0)) << "/" << us(decide.quantile(99.0))
         << " us\n";
   }
-  const core::AdmissionStats adm = gateway.engine().admission_stats();
-  if (adm.near_miss_10() > 0)
-    out << "near-miss rejections: " << adm.near_miss_5() << " within 5%, "
-        << adm.near_miss_10() << " within 10% of flipping (share "
-        << adm.near_miss_share_10 << ", sigma " << adm.near_miss_sigma_10
-        << ", deadline " << adm.near_miss_deadline_10 << ")\n";
+  print_admission_notes(out, gateway.engine().admission_stats(), std::nullopt);
   if (!telemetry_out.empty()) {
     telemetry.write_dir(telemetry_out);
     out << "telemetry written to " << telemetry_out << " ("
@@ -202,18 +193,7 @@ int run_streaming(const ReplayFlags& f, core::Policy policy,
       << stream.jobs_skipped() << " skipped), peak resident "
       << engine->peak_live_jobs() << " job objects of "
       << engine->jobs_submitted() << " submitted\n";
-  const core::AdmissionStats adm = engine->admission_stats();
-  if (adm.near_miss_10() > 0)
-    out << "near-miss rejections: " << adm.near_miss_5() << " within 5%, "
-        << adm.near_miss_10() << " within 10% of flipping (share "
-        << adm.near_miss_share_10 << ", sigma " << adm.near_miss_sigma_10
-        << ", deadline " << adm.near_miss_deadline_10 << ")\n";
-  if (adm.overload_activations > 0 || adm.degraded_admits > 0 ||
-      adm.deferrals > 0 || adm.shed_tail > 0)
-    out << "overload (" << core::to_string(f.overload.mode)
-        << "): " << adm.overload_activations << " activations, "
-        << adm.degraded_admits << " degraded admits, " << adm.deferrals
-        << " deferrals, " << adm.shed_tail << " tail sheds\n";
+  print_admission_notes(out, engine->admission_stats(), f.overload.mode);
   if (!telemetry_out.empty()) {
     telemetry.write_dir(telemetry_out);
     out << "telemetry written to " << telemetry_out << " ("
@@ -368,10 +348,7 @@ int cmd_replay(const std::vector<std::string>& args, std::ostream& out) {
       "and raises offered load)",
       1.0);
   auto& overload_opt = parser.add<std::string>(
-      "overload-mode",
-      "graceful-degradation mode past the load knee: hard-reject | shed-tail "
-      "| relax-sigma | defer-to-salvage | downgrade-qos (docs/OVERLOAD.md)",
-      "hard-reject");
+      "overload-mode", overload_mode_help(), "hard-reject");
   auto& activation_opt = parser.add<double>(
       "activation-load",
       "load-signal utilization at which the overload mode engages", 0.85);
@@ -380,11 +357,7 @@ int cmd_replay(const std::vector<std::string>& args, std::ostream& out) {
   if (load_scale_opt.value <= 0.0)
     throw cli::ParseError("--load-scale must be > 0");
   core::OverloadConfig overload;
-  try {
-    overload.mode = core::parse_degraded_mode(overload_opt.value);
-  } catch (const std::invalid_argument& e) {
-    throw cli::ParseError(e.what());
-  }
+  overload.mode = parse_overload_mode(overload_opt.value);
   overload.activation_load = activation_opt.value;
   overload.validate();
 

@@ -1,8 +1,8 @@
 #include "tools/common.hpp"
 
+#include <ostream>
 #include <stdexcept>
 
-#include "core/overload.hpp"
 #include "workload/lublin.hpp"
 #include "workload/predictor.hpp"
 
@@ -32,10 +32,7 @@ ScenarioFlags add_scenario_flags(cli::Parser& parser) {
       "raises offered load; applied after workload generation)",
       1.0);
   f.overload_mode = &parser.add<std::string>(
-      "overload-mode",
-      "graceful-degradation mode past the load knee: hard-reject | shed-tail "
-      "| relax-sigma | defer-to-salvage | downgrade-qos (docs/OVERLOAD.md)",
-      "hard-reject");
+      "overload-mode", overload_mode_help(), "hard-reject");
   f.activation_load = &parser.add<double>(
       "activation-load",
       "load-signal utilization at which the overload mode engages", 0.85);
@@ -73,11 +70,7 @@ exp::Scenario scenario_from_flags(const ScenarioFlags& f, const json::Value& cfg
                                ? f.overload_mode->value
                                : cfg.string_or("overload_mode",
                                                f.overload_mode->value);
-  try {
-    s.options.overload.mode = core::parse_degraded_mode(mode);
-  } catch (const std::invalid_argument& e) {
-    throw cli::ParseError(e.what());
-  }
+  s.options.overload.mode = parse_overload_mode(mode);
   s.options.overload.activation_load =
       pick_double(f.activation_load, "activation_load");
   s.warmup_fraction = cfg.number_or("warmup_fraction", 0.0);
@@ -114,6 +107,35 @@ std::vector<workload::Job> workload_from_flags(const ScenarioFlags& f,
                                 : cfg.number_or("load_scale", f.load_scale->value);
   if (load_scale != 1.0) workload::scale_interarrivals(jobs, load_scale);
   return jobs;
+}
+
+std::string overload_mode_help() {
+  return "graceful-degradation mode past the load knee: " +
+         core::degraded_mode_names(" | ") + " (docs/OVERLOAD.md)";
+}
+
+core::DegradedMode parse_overload_mode(const std::string& name) {
+  try {
+    return core::parse_degraded_mode(name);
+  } catch (const std::invalid_argument& e) {
+    throw cli::ParseError(e.what());
+  }
+}
+
+void print_admission_notes(std::ostream& out, const core::AdmissionStats& adm,
+                           std::optional<core::DegradedMode> overload) {
+  if (adm.near_miss_10() > 0)
+    out << "near-miss rejections: " << adm.near_miss_5() << " within 5%, "
+        << adm.near_miss_10() << " within 10% of flipping (share "
+        << adm.near_miss_share_10 << ", sigma " << adm.near_miss_sigma_10
+        << ", deadline " << adm.near_miss_deadline_10 << ")\n";
+  if (overload.has_value() &&
+      (adm.overload_activations > 0 || adm.degraded_admits > 0 ||
+       adm.deferrals > 0))
+    out << "overload (" << core::to_string(*overload)
+        << "): " << adm.overload_activations << " activations, "
+        << adm.degraded_admits << " degraded admits, " << adm.deferrals
+        << " deferrals\n";
 }
 
 }  // namespace librisk::tool

@@ -5,9 +5,12 @@
 #pragma once
 
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "core/libra.hpp"
+#include "core/overload.hpp"
 #include "exp/scenario.hpp"
 #include "support/cli.hpp"
 #include "support/json.hpp"
@@ -54,6 +57,20 @@ exp::Scenario scenario_from_flags(const ScenarioFlags& f, const json::Value& cfg
 std::vector<workload::Job> workload_from_flags(const ScenarioFlags& f,
                                                const json::Value& cfg,
                                                const exp::Scenario& s);
+
+/// Help text of every --overload-mode flag, listing the catalog's modes.
+std::string overload_mode_help();
+
+/// Parses an --overload-mode value (or the JSON `overload_mode` key);
+/// throws cli::ParseError naming the valid modes on an unknown name.
+core::DegradedMode parse_overload_mode(const std::string& name);
+
+/// Prints the near-miss and overload summary lines of a run's admission
+/// stats, each only when it has something to report. `overload` names the
+/// configured mode; nullopt skips the overload line (the gateway prints
+/// its own overload counts).
+void print_admission_notes(std::ostream& out, const core::AdmissionStats& adm,
+                           std::optional<core::DegradedMode> overload);
 
 // ---- per-command entry points ----
 
