@@ -31,7 +31,7 @@ enum class EventKind : std::uint8_t {
   /// Overload-catalog events (core/overload.hpp): emitted only when a
   /// degraded mode other than HardReject is configured, so default traces
   /// stay byte-identical to pre-catalog builds.
-  ModeTransition = 10,   ///< governor flipped (node = engaged 1/0, a = utilization, b = mode index)
+  ModeTransition = 10,   ///< governor flipped (node = engaged 1/0, a = utilization, b = DegradedMode wire value)
   JobDeferred = 11,      ///< shortfall parked for retry (reason = failed test, a = retry time, b = deferral #)
   JobDegradedAdmit = 12, ///< degraded mode admitted a shortfall (reason = test bent, node = first chosen, a = sigma or -1, b = fit)
 };
