@@ -7,6 +7,7 @@
 // victims column — rather than just that it does.
 //
 //   $ diagnose --inaccuracy 100 --work-conserving
+#include <exception>
 #include <iostream>
 
 #include "core/overload.hpp"
@@ -32,7 +33,16 @@ int main(int argc, char** argv) {
       "hard-reject");
   auto& load_scale_opt = parser.add<double>(
       "load-scale", "inter-arrival gap factor (< 1 raises offered load)", 1.0);
-  parser.parse(argc, argv);
+  core::DegradedMode overload_mode{};
+  try {
+    parser.parse(argc, argv);
+    overload_mode = core::parse_degraded_mode(overload_opt.value);
+  } catch (const std::exception& e) {
+    // Usage errors exit 2, like librisk-sim; the message names the valid
+    // values.
+    std::cerr << "error: " << e.what() << '\n';
+    return 2;
+  }
 
   exp::Scenario base;
   base.workload.trace.job_count = static_cast<std::size_t>(jobs_opt.value);
@@ -44,7 +54,7 @@ int main(int argc, char** argv) {
                                       : cluster::ExecutionMode::ProportionalPacing;
   if (equal_opt.value)
     base.options.risk.prediction = core::RiskConfig::Prediction::ProcessorSharing;
-  base.options.overload.mode = core::parse_degraded_mode(overload_opt.value);
+  base.options.overload.mode = overload_mode;
   base.seed = seed_opt.value;
   if (load_scale_opt.value != 1.0)
     base.workload.trace.arrival_delay_factor *= load_scale_opt.value;

@@ -61,11 +61,6 @@ void EdfScheduler::on_job_submitted(const Job& job) {
       trace_->job_rejected(sim_.now(), job.id,
                            trace::RejectionReason::NoSuitableNode, 0,
                            job.num_procs);
-    if (explain_ != nullptr) {
-      explain_->begin(sim_.now(), job.id, job.num_procs, job.deadline,
-                      job.scheduler_estimate);
-      explain_->finish_reject(trace::RejectionReason::NoSuitableNode, 0, 0.0);
-    }
     return;
   }
   queue_.push_back(&job);
@@ -160,12 +155,6 @@ void EdfScheduler::dispatch() {
         trace_->job_rejected(sim_.now(), job->id,
                              trace::RejectionReason::DeadlineInfeasible, 0,
                              job->num_procs, margin);
-      if (explain_ != nullptr) {
-        explain_->begin(sim_.now(), job->id, job->num_procs, job->deadline,
-                        job->scheduler_estimate);
-        explain_->finish_reject(trace::RejectionReason::DeadlineInfeasible, 0,
-                                margin);
-      }
       queue_.erase(head);
       LIBRISK_LOG(Debug) << name_ << ": rejected job " << job->id
                          << " at dispatch (deadline infeasible)";

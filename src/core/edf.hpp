@@ -50,9 +50,10 @@ class EdfScheduler final : public Scheduler {
   /// Hot-path counters in the shared AdmissionStats shape. EDF has no node
   /// scan, so only submissions/accepted/rejections, the reason attribution
   /// and the deadline near-miss pair are populated. Rejections happen at
-  /// dispatch (the relaxed admission control), so provenance records
-  /// (Hooks::explain) are emitted for rejections only — acceptance is
-  /// implicit in starting.
+  /// dispatch (the relaxed admission control) and emit JobRejected; a normal
+  /// acceptance is implicit in starting and emits no decision event, so
+  /// obs::ExplainRecorder holds records for rejections and DowngradeQoS
+  /// degraded admits (JobDegradedAdmit) only.
   [[nodiscard]] const AdmissionStats& admission_stats() const noexcept {
     return stats_;
   }

@@ -345,9 +345,6 @@ void LibraScheduler::on_job_submitted(const Job& job) {
 void LibraScheduler::submit_fast(const Job& job) {
   const sim::SimTime now = sim_.now();
   ++stats_.submissions;
-  if (explain_ != nullptr)
-    explain_->begin(now, job.id, job.num_procs, job.deadline,
-                    job.scheduler_estimate);
   if (job.num_procs > executor_.cluster().size()) {
     reject(job, now, trace::RejectionReason::NoSuitableNode, 0,
            /*at_dispatch=*/false, 0.0);
@@ -386,7 +383,6 @@ void LibraScheduler::scan(const Job& job, const AdmissionTest& test,
   const int cluster_size = executor_.cluster().size();
   const bool zero_risk = config_.admission == LibraConfig::Admission::ZeroRisk;
   const bool tracing = first && trace_ != nullptr && trace_->enabled();
-  const bool explaining = first && explain_ != nullptr;
   // FirstFit takes suitable nodes in node order, so the scan can stop at
   // num_procs hits: acceptance and the chosen sequence are already decided,
   // and a rejection (< num_procs suitable anywhere) still scans everything.
@@ -398,10 +394,10 @@ void LibraScheduler::scan(const Job& job, const AdmissionTest& test,
                           0.0 <= config_.risk.sigma_threshold + config_.risk.tolerance;
   AssessNodesOptions options;
   // The σ-spread bound rejects without computing the exact σ the
-  // node_evaluated event and the explain record must carry, so it only arms
-  // when neither observer is attached (decisions are identical either way —
-  // the bound is conservative).
-  options.allow_bound_skip = first && !tracing && !explaining;
+  // node_evaluated event must carry, so it only arms when no live sink is
+  // attached (decisions are identical either way — the bound is
+  // conservative).
+  options.allow_bound_skip = first && !tracing;
 
   out.clear();
   if (out.capacity() < static_cast<std::size_t>(cluster_size))
@@ -454,17 +450,11 @@ void LibraScheduler::scan(const Job& job, const AdmissionTest& test,
     // kForbidAdmitPastEq2: a bent test may not admit past the Eq. 2
     // capacity, which the sigma-only rule does not test itself.
     const bool ok = verdict.suitable && !(verdict.total_share > test.share_cap);
-    if (tracing || explaining) {
-      const double margin = node_margin(verdict.total_share, verdict.sigma);
-      const trace::RejectionReason reason =
-          ok ? trace::RejectionReason::None : scan_reason();
-      if (tracing)
-        trace_->node_evaluated(now, job.id, n, reason, verdict.sigma,
-                               verdict.total_share, margin);
-      if (explaining)
-        explain_->node(obs::NodeMargin{n, ok, reason, verdict.sigma,
-                                       verdict.total_share, margin});
-    }
+    if (tracing)
+      trace_->node_evaluated(now, job.id, n,
+                             ok ? trace::RejectionReason::None : scan_reason(),
+                             verdict.sigma, verdict.total_share,
+                             node_margin(verdict.total_share, verdict.sigma));
     if (ok) {
       out.push_back(Candidate{n, verdict.total_share, verdict.sigma});
       if (can_stop_early && static_cast<int>(out.size()) == job.num_procs) {
@@ -502,8 +492,6 @@ void LibraScheduler::admit(const Job& job, const Job& run, sim::SimTime now,
       trace_->job_admitted(now, job.id, head.node,
                            static_cast<int>(suitable_.size()), head.fit, margin);
   }
-  if (explain_ != nullptr)
-    explain_->finish_accept(head.node, margin, static_cast<int>(suitable_.size()));
   // `run` carries the deadline the executor paces against; its share is the
   // one the cluster actually bears, so it feeds the load signal.
   if (overload_enabled_) track_inflight(run, chosen);
@@ -536,7 +524,6 @@ void LibraScheduler::reject(const Job& job, sim::SimTime now,
   collector_.record_rejected(job, now, at_dispatch, reason);
   if (trace_ != nullptr)
     trace_->job_rejected(now, job.id, reason, suitable, job.num_procs, margin);
-  if (explain_ != nullptr) explain_->finish_reject(reason, suitable, margin);
   LIBRISK_LOG(Debug) << name_ << ": rejected job " << job.id << " ("
                      << trace::to_string(reason) << ", " << suitable << '/'
                      << job.num_procs << " suitable nodes"
@@ -591,10 +578,6 @@ bool LibraScheduler::node_suitable_legacy(cluster::NodeId node, const Job& job,
 void LibraScheduler::submit_legacy(const Job& job) {
   const sim::SimTime now = sim_.now();
   ++stats_.submissions;
-  const bool explaining = explain_ != nullptr;
-  if (explaining)
-    explain_->begin(now, job.id, job.num_procs, job.deadline,
-                    job.scheduler_estimate);
   if (job.num_procs > executor_.cluster().size()) {
     ++stats_.rejections;
     ++stats_.rejected_no_suitable_node;
@@ -603,8 +586,6 @@ void LibraScheduler::submit_legacy(const Job& job) {
     if (trace_ != nullptr)
       trace_->job_rejected(now, job.id, trace::RejectionReason::NoSuitableNode,
                            0, job.num_procs);
-    if (explaining)
-      explain_->finish_reject(trace::RejectionReason::NoSuitableNode, 0, 0.0);
     return;
   }
   // Overload consults mirror submit_fast exactly (the degraded helpers
@@ -627,18 +608,10 @@ void LibraScheduler::submit_legacy(const Job& job) {
     double sigma = -1.0;
     const bool ok = node_suitable_legacy(n, job, fit, &sigma);
     scan_metric_[static_cast<std::size_t>(n)] = share_mode ? fit : sigma;
-    if (tracing || explaining) {
-      const double margin = node_margin(fit, sigma);
-      if (tracing)
-        trace_->node_evaluated(
-            now, job.id, n,
-            ok ? trace::RejectionReason::None : scan_reason(), sigma, fit,
-            margin);
-      if (explaining)
-        explain_->node(obs::NodeMargin{
-            n, ok, ok ? trace::RejectionReason::None : scan_reason(), sigma,
-            fit, margin});
-    }
+    if (tracing)
+      trace_->node_evaluated(now, job.id, n,
+                             ok ? trace::RejectionReason::None : scan_reason(),
+                             sigma, fit, node_margin(fit, sigma));
     if (ok) suitable.push_back(Candidate{n, fit, sigma});
   }
   if (scan_nodes_hist_ != nullptr)
@@ -659,9 +632,6 @@ void LibraScheduler::submit_legacy(const Job& job) {
       trace_->job_rejected(now, job.id, scan_reason(),
                            static_cast<int>(suitable.size()), job.num_procs,
                            margin);
-    if (explaining)
-      explain_->finish_reject(scan_reason(), static_cast<int>(suitable.size()),
-                              margin);
     LIBRISK_LOG(Debug) << name_ << ": rejected job " << job.id << " ("
                        << suitable.size() << '/' << job.num_procs
                        << " suitable nodes)";
@@ -700,9 +670,6 @@ void LibraScheduler::submit_legacy(const Job& job) {
     trace_->job_admitted(now, job.id, suitable[0].node,
                          static_cast<int>(suitable.size()), suitable[0].fit,
                          margin);
-  if (explaining)
-    explain_->finish_accept(suitable[0].node, margin,
-                            static_cast<int>(suitable.size()));
   if (overload_enabled_) track_inflight(job, chosen);
   collector_.record_started(job, now, job.actual_runtime / slowest);
   executor_.start(job, std::move(chosen));
@@ -789,11 +756,6 @@ void LibraScheduler::retry_deferred(std::int64_t job_id) {
   const sim::SimTime now = sim_.now();
   obs::ScopedPhase phase(profiler_, obs::Phase::Admission);
   executor_.sync();
-  // The retry is the job's decision from here on, so it opens the job's
-  // explain record afresh; the record a deferral left open is discarded.
-  if (explain_ != nullptr)
-    explain_->begin(now, job.id, job.num_procs, job.deadline,
-                    job.scheduler_estimate);
   // The retry re-runs the NORMAL test at full strictness — DeferToSalvage
   // is licensed to delay the decision (kForbidDelayedDecision cleared), not
   // to bend risk or deadline. Not a new submission: the submissions counter

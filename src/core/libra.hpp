@@ -101,7 +101,7 @@ struct AdmissionStats {
   /// within 5% / 10% of the test's scale (share: node capacity; sigma:
   /// max(sigma_threshold, 1); deadline: the job's relative deadline). The
   /// 10% counters include the 5% ones. Exact when margins are observed
-  /// (trace/explain attached); conservative — an undercount — when the
+  /// (a live trace sink attached); conservative — an undercount — when the
   /// batch spread bound skipped exact sigmas, same caveat as
   /// `nodes_batch_skipped`.
   std::uint64_t near_miss_share_5 = 0;
@@ -235,7 +235,7 @@ class LibraScheduler final : public Scheduler {
   /// scanned node's decisive metric in `metric[node]` (fit for TotalShare;
   /// sigma for ZeroRisk, +inf for a bound-skipped node), and does all the
   /// effort counting. Only a submission's first scan (`first`) emits
-  /// node_evaluated events and explain nodes, stops early under FirstFit,
+  /// node_evaluated events, stops early under FirstFit,
   /// arms the sigma-spread bound and feeds the scan histogram.
   void scan(const Job& job, const AdmissionTest& test, sim::SimTime now,
             bool first, std::vector<Candidate>& out, std::vector<double>& metric);
@@ -246,8 +246,8 @@ class LibraScheduler final : public Scheduler {
   /// paces — the deadline-extended copy for DowngradeQoS, `job` otherwise.
   void admit(const Job& job, const Job& run, sim::SimTime now,
              trace::RejectionReason bent);
-  /// Accounts one rejection: counters by reason, collector record, trace
-  /// event and explain record, all carrying `suitable` and `margin`.
+  /// Accounts one rejection: counters by reason, collector record and trace
+  /// event, all carrying `suitable` and `margin`.
   void reject(const Job& job, sim::SimTime now, trace::RejectionReason reason,
               int suitable, bool at_dispatch, double margin);
 

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "metrics/collector.hpp"
-#include "obs/explain.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/simulator.hpp"
 #include "support/hooks.hpp"
@@ -70,7 +69,6 @@ class Scheduler {
   void attach(const Hooks& hooks) {
     trace_ = hooks.trace;
     telemetry_ = hooks.telemetry;
-    explain_ = hooks.explain;
     profiler_ = hooks.telemetry != nullptr ? &hooks.telemetry->profiler() : nullptr;
     if (hooks.telemetry != nullptr) on_telemetry(*hooks.telemetry);
   }
@@ -98,8 +96,6 @@ class Scheduler {
   trace::Recorder* trace_ = nullptr;
   /// Borrowed, may be null.
   obs::Telemetry* telemetry_ = nullptr;
-  /// Borrowed, may be null; subclasses record decision provenance through it.
-  obs::ExplainRecorder* explain_ = nullptr;
   /// Cached &telemetry_->profiler(), null when telemetry is absent — so
   /// ScopedPhase sites pay a single null check.
   obs::PhaseProfiler* profiler_ = nullptr;

@@ -3,12 +3,14 @@
 #include <algorithm>
 
 #include "support/check.hpp"
+#include "trace/recorder.hpp"
 
 namespace librisk::exp {
 
 ScenarioResult run_with_margins(Scenario scenario,
                                 obs::ExplainRecorder& recorder) {
-  scenario.options.hooks.explain = &recorder;
+  trace::Recorder trace(recorder);
+  scenario.options.hooks.trace = &trace;
   return run_scenario(scenario);
 }
 

@@ -51,9 +51,10 @@ struct CounterfactualSweep {
   std::uint64_t replays = 0;
 };
 
-/// Runs the scenario with `recorder` attached through Hooks::explain (on a
-/// copy — the caller's scenario is untouched). The recorder's extremes are
-/// complete for the run; its retained decisions follow its own config.
+/// Runs the scenario with `recorder` as its trace sink, in place of any
+/// trace recorder the scenario carried (on a copy — the caller's scenario is
+/// untouched). The recorder's extremes are complete for the run; its
+/// retained decisions follow its own config.
 [[nodiscard]] ScenarioResult run_with_margins(Scenario scenario,
                                               obs::ExplainRecorder& recorder);
 

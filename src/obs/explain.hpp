@@ -3,16 +3,29 @@
 //
 // The admission path decides with inequalities — total share vs capacity
 // (Eq. 2), sigma vs the risk threshold (Eq. 6), best-case finish vs the
-// deadline — but the aggregate surfaces only keep the verdicts. An
-// ExplainRecorder, attached through Hooks::explain, captures the *margins*:
-// for every submission, each candidate node the scan touched with the
-// signed headroom of its decisive test, plus a job-level margin that says
-// what it would have taken to flip the decision. Detached it costs the hot
-// path one pointer compare per submission (the same contract as
-// trace::Recorder); attached it never changes a decision — it forces the
-// scan to compute exact sigmas (disabling the batch spread-bound skip,
-// exactly like tracing does), which alters effort counters but is proven
-// decision-neutral (tests/test_explain.cpp holds traces byte-identical).
+// deadline — and the trace events carry each test's signed *margin*. An
+// ExplainRecorder is a trace::Sink that folds those events into one
+// DecisionExplain record per decision: attached through a trace::Recorder
+// (`Hooks::trace`) it records live, fed a `.lrt` file's events it records
+// offline, and the two cannot disagree.
+//
+// The fold reads six event kinds and ignores the rest:
+//   JobSubmitted      opens a pending record for the job (procs, deadline,
+//                     estimate); pending records are kept per job id, so
+//                     queueing policies with many undecided jobs fold too.
+//   NodeEvaluated     appends a NodeMargin to the job's pending record and
+//                     folds its sigma into the SigmaExtremes.
+//   JobDeferred       clears the pending node list: a salvage retry scans
+//                     again without emitting node events, so the record of
+//                     the decision it reaches has no node table.
+//   JobAdmitted       closes the record as an acceptance (suitable = a).
+//   JobDegradedAdmit  closes it as an acceptance; suitable is the count of
+//                     suitable nodes in the record (the normal test's — a
+//                     bent re-scan's count is not in the trace).
+//   JobRejected       closes it as a rejection (suitable = a).
+// The record's time is the decision event's time. JobStarted discards a
+// record still pending, which is how a job accepted without a decision
+// event (EDF starts its accepts silently) leaves the pending set.
 //
 // Margin sign convention (shared with trace Event::margin, see
 // docs/TRACING.md "Margins"): margin >= 0 means the test passed with that
@@ -33,20 +46,21 @@
 // what exp::sweep_sigma_thresholds exploits to recompute the paper's
 // risk-knob curve from one run (docs/MODEL.md "threshold stability").
 //
-// Thread affinity: single-threaded, called only from the thread driving the
-// simulator (the gateway's drive thread in concurrent front-ends), like
-// every other hook.
+// Attached live it costs what tracing costs: exact sigmas (no batch
+// spread-bound skip), which alters effort counters but never a decision.
+// Single-threaded, like every sink.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <iosfwd>
 #include <limits>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/types.hpp"
 #include "trace/event.hpp"
+#include "trace/sink.hpp"
 
 namespace librisk::obs {
 
@@ -62,6 +76,8 @@ struct NodeMargin {
   double share = -1.0;
   /// Signed headroom of the decisive test (see header comment).
   double margin = 0.0;
+
+  friend bool operator==(const NodeMargin&, const NodeMargin&) = default;
 };
 
 /// One admission decision with its full margin context.
@@ -80,8 +96,11 @@ struct DecisionExplain {
   /// header comment. 0.0 when no margin applies (e.g. NoSuitableNode).
   double margin = 0.0;
   /// Per-node margins in scan order; empty for policies without a node
-  /// scan (EDF family) or when ExplainConfig::keep_nodes is off.
+  /// scan (EDF family), for a decision a salvage retry reached, or when
+  /// ExplainConfig::keep_nodes is off.
   std::vector<NodeMargin> nodes;
+
+  friend bool operator==(const DecisionExplain&, const DecisionExplain&) = default;
 };
 
 /// Running extremes over every sigma evaluation a recorder observed. The
@@ -103,6 +122,8 @@ struct SigmaExtremes {
     const bool fails_hold = fails == 0 || !(fail_min <= threshold + tolerance);
     return passes_hold && fails_hold;
   }
+
+  friend bool operator==(const SigmaExtremes&, const SigmaExtremes&) = default;
 };
 
 struct ExplainConfig {
@@ -119,27 +140,12 @@ struct ExplainConfig {
   bool keep_nodes = true;
 };
 
-class ExplainRecorder {
+class ExplainRecorder final : public trace::Sink {
  public:
   explicit ExplainRecorder(ExplainConfig config = {});
 
-  // ---- recording protocol (scheduler-facing, one decision at a time) ----
-
-  /// Opens a decision record at submission. A record still open (a decision
-  /// deferred without a verdict) is discarded.
-  void begin(sim::SimTime time, std::int64_t job_id, int num_procs,
-             double deadline, double estimate);
-  /// Adds one evaluated node; also folds sigma into the extremes.
-  void node(const NodeMargin& m);
-  /// Closes the open record as an acceptance.
-  void finish_accept(std::int32_t chosen_node, double chosen_margin,
-                     int suitable);
-  /// Closes the open record as a rejection. `job_margin` follows the
-  /// job-level convention above (<= 0).
-  void finish_reject(trace::RejectionReason reason, int suitable,
-                     double job_margin);
-
-  // ---- queries ----
+  /// Folds one trace event (see header comment for the kinds it reads).
+  void write(const trace::Event& event) override;
 
   [[nodiscard]] const ExplainConfig& config() const noexcept { return config_; }
   /// Retained decisions, oldest first.
@@ -151,17 +157,25 @@ class ExplainRecorder {
   [[nodiscard]] const SigmaExtremes& sigma_extremes() const noexcept {
     return extremes_;
   }
-  /// Decisions offered for retention / dropped by capacity or filters.
+  /// Decisions offered for retention / dropped by capacity or filters. A
+  /// decision whose JobSubmitted the recorder never saw counts as dropped.
   [[nodiscard]] std::uint64_t recorded() const noexcept { return recorded_; }
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
 
   void clear();
 
  private:
+  /// Whether a decision of `job_id` can be retained at all; pending records
+  /// are kept only for those jobs.
+  [[nodiscard]] bool wanted(std::int64_t job_id) const noexcept;
+  void fold_node(const trace::Event& event);
+  /// Closes the job's pending record with the decision `event`.
+  void decide(const trace::Event& event);
+
   ExplainConfig config_;
   std::deque<DecisionExplain> ring_;
-  DecisionExplain current_;
-  bool in_flight_ = false;
+  /// Submitted, undecided jobs: the record each decision will close.
+  std::unordered_map<std::int64_t, DecisionExplain> pending_;
   SigmaExtremes extremes_;
   std::uint64_t recorded_ = 0;
   std::uint64_t dropped_ = 0;

@@ -3,7 +3,9 @@
 // A decision-audit recorder (docs/TRACING.md) and a live-telemetry hub
 // (docs/OBSERVABILITY.md) share the same ownership model: borrowed by the
 // scheduler stack for the duration of a run, null by default, and free when
-// absent. Before this struct existed each component exposed a separate
+// absent. Decision provenance has no hook of its own: obs::ExplainRecorder
+// is a trace::Sink, attached through the `trace` recorder, so every view of
+// a decision is folded from the one event stream. Before this struct existed each component exposed a separate
 // setter pair and every driver wired them independently — which made it
 // possible to attach a recorder to the scheduler but not its executor.
 // Hooks travel as one value (PolicyOptions::hooks is the single attach
@@ -25,7 +27,6 @@ class Recorder;
 }
 namespace librisk::obs {
 class Telemetry;
-class ExplainRecorder;
 }
 
 namespace librisk {
@@ -35,14 +36,8 @@ struct Hooks {
   trace::Recorder* trace = nullptr;
   /// Live metrics/series/profiling hub; null costs one branch per hook site.
   obs::Telemetry* telemetry = nullptr;
-  /// Decision-provenance recorder (per-submission margin records,
-  /// docs/OBSERVABILITY.md); null costs one branch per submission. Like
-  /// tracing, attaching forces exact sigma evaluation (no batch spread-bound
-  /// skips) — effort counters change, decisions never do.
-  obs::ExplainRecorder* explain = nullptr;
-
   [[nodiscard]] bool any() const noexcept {
-    return trace != nullptr || telemetry != nullptr || explain != nullptr;
+    return trace != nullptr || telemetry != nullptr;
   }
 };
 

@@ -6,8 +6,12 @@
 // enabled_ is cached at attach time from Sink::discards() — with the default
 // NullSink (or no recorder at all) an emission site costs one predictable
 // branch and constructs nothing, which is how the admission hot path stays
-// zero-allocation and bit-identical (guarded by test_admission_equivalence
+// zero-allocation and bit-identical (guarded by tests/test_golden_digests.cpp
 // and bench/micro_trace.cpp's <=2% budget).
+//
+// The sink decides what the events become: a file (BinarySink, JsonlSink)
+// or per-decision margin records (obs::ExplainRecorder, which folds the
+// submission, node, deferral and decision events below).
 //
 // Ownership: the Recorder borrows the Sink; callers keep both alive for the
 // duration of the run and call sink.close() (or let BinarySink's destructor)

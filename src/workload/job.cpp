@@ -1,6 +1,7 @@
 #include "workload/job.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "support/check.hpp"
 
@@ -16,13 +17,19 @@ const char* to_string(Urgency u) noexcept {
 }
 
 void Job::validate() const {
-  LIBRISK_CHECK(submit_time >= 0.0, "job " << id << ": negative submit time");
-  LIBRISK_CHECK(actual_runtime > 0.0, "job " << id << ": non-positive runtime");
-  LIBRISK_CHECK(user_estimate > 0.0, "job " << id << ": non-positive estimate");
-  LIBRISK_CHECK(scheduler_estimate > 0.0,
-                "job " << id << ": non-positive scheduler estimate");
+  // The comparisons are false for NaN; std::isfinite also rules out ±inf.
+  LIBRISK_CHECK(std::isfinite(submit_time) && submit_time >= 0.0,
+                "job " << id << ": negative or non-finite submit time");
+  LIBRISK_CHECK(std::isfinite(actual_runtime) && actual_runtime > 0.0,
+                "job " << id << ": non-positive or non-finite runtime");
+  LIBRISK_CHECK(std::isfinite(user_estimate) && user_estimate > 0.0,
+                "job " << id << ": non-positive or non-finite estimate");
+  LIBRISK_CHECK(std::isfinite(scheduler_estimate) && scheduler_estimate > 0.0,
+                "job " << id
+                       << ": non-positive or non-finite scheduler estimate");
   LIBRISK_CHECK(num_procs >= 1, "job " << id << ": needs at least one processor");
-  LIBRISK_CHECK(deadline > 0.0, "job " << id << ": non-positive deadline");
+  LIBRISK_CHECK(std::isfinite(deadline) && deadline > 0.0,
+                "job " << id << ": non-positive or non-finite deadline");
 }
 
 void validate_trace(const std::vector<Job>& jobs) {

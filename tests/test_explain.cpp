@@ -1,8 +1,8 @@
-// Decision provenance: the ExplainRecorder's recording protocol, its
-// retention filters, and the tentpole guarantee — attaching provenance
-// never changes a decision. The byte-identity test runs every policy over
-// many seeds twice, with and without the recorder, and holds the .lrt
-// decision traces (and the per-job outcomes) exactly equal.
+// Decision provenance: the ExplainRecorder's fold of the trace event
+// stream, its retention filters, and the guarantee that the records are a
+// function of the trace — a run with the recorder as its sink decides as a
+// run traced to a file, and its records equal those folded from that file,
+// for every policy over many seeds.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -11,6 +11,7 @@
 #include "exp/counterfactual.hpp"
 #include "exp/scenario.hpp"
 #include "obs/explain.hpp"
+#include "trace/reader.hpp"
 #include "trace/recorder.hpp"
 #include "trace/sink.hpp"
 
@@ -26,48 +27,63 @@ exp::Scenario small_scenario(core::Policy policy, std::uint64_t seed) {
   return s;
 }
 
-/// .lrt bytes of one run, optionally with an ExplainRecorder attached.
-std::string record_lrt(core::Policy policy, std::uint64_t seed,
-                       obs::ExplainRecorder* explain) {
+/// One run traced to `.lrt` bytes with margins on, and its result.
+struct Recorded {
+  std::string lrt;
+  exp::ScenarioResult result;
+};
+
+Recorded record_lrt(core::Policy policy, std::uint64_t seed) {
   exp::Scenario s = small_scenario(policy, seed);
   std::ostringstream os;
-  trace::BinarySink sink(os, {std::string(core::to_string(policy)), seed});
+  trace::BinarySink sink(os, {std::string(core::to_string(policy)), seed},
+                         {.margins = true});
   trace::Recorder recorder(sink);
   s.options.hooks.trace = &recorder;
-  s.options.hooks.explain = explain;
-  (void)exp::run_scenario(s);
+  Recorded out;
+  out.result = exp::run_scenario(s);
   sink.close();
-  return os.str();
+  out.lrt = os.str();
+  return out;
 }
 
-// ---- recording protocol ----
+// ---- the event fold ----
 
 TEST(ExplainRecorder, RecordsAcceptAndRejectWithNodes) {
   obs::ExplainRecorder rec;
-  rec.begin(10.0, 1, 2, 100.0, 50.0);
-  rec.node({0, true, trace::RejectionReason::None, 0.0, 0.4, 0.6});
-  rec.node({1, false, trace::RejectionReason::RiskSigma, 3.0, 0.9, -3.0});
-  rec.node({2, true, trace::RejectionReason::None, 0.0, 0.5, 0.5});
-  rec.finish_accept(0, 0.6, 2);
+  trace::Recorder emit(rec);
+  emit.job_submitted(10.0, 1, 2, 100.0, 50.0);
+  emit.node_evaluated(10.0, 1, 0, trace::RejectionReason::None, 0.0, 0.4, 0.6);
+  emit.node_evaluated(10.0, 1, 1, trace::RejectionReason::RiskSigma, 3.0, 0.9,
+                      -3.0);
+  emit.node_evaluated(10.0, 1, 2, trace::RejectionReason::None, 0.0, 0.5, 0.5);
+  emit.job_admitted(10.0, 1, 0, 2, 0.4, 0.6);
 
-  rec.begin(20.0, 2, 1, 10.0, 50.0);
-  rec.node({0, false, trace::RejectionReason::RiskSigma, 2.0, 0.8, -2.0});
-  rec.finish_reject(trace::RejectionReason::RiskSigma, 0, -2.0);
+  emit.job_submitted(20.0, 2, 1, 10.0, 50.0);
+  emit.node_evaluated(20.0, 2, 0, trace::RejectionReason::RiskSigma, 2.0, 0.8,
+                      -2.0);
+  emit.job_rejected(20.0, 2, trace::RejectionReason::RiskSigma, 0, 1, -2.0);
 
   ASSERT_EQ(rec.decisions().size(), 2u);
   const obs::DecisionExplain& accept = rec.decisions()[0];
   EXPECT_TRUE(accept.accepted);
   EXPECT_EQ(accept.job_id, 1);
+  EXPECT_EQ(accept.num_procs, 2);
+  EXPECT_EQ(accept.deadline, 100.0);
+  EXPECT_EQ(accept.estimate, 50.0);
   EXPECT_EQ(accept.chosen_node, 0);
   EXPECT_EQ(accept.suitable, 2);
   EXPECT_EQ(accept.margin, 0.6);
   ASSERT_EQ(accept.nodes.size(), 3u);
   EXPECT_EQ(accept.nodes[1].test, trace::RejectionReason::RiskSigma);
+  EXPECT_EQ(accept.nodes[1].sigma, 3.0);
+  EXPECT_EQ(accept.nodes[1].share, 0.9);
   EXPECT_EQ(obs::required_improvement(accept), 0.0);
 
   const obs::DecisionExplain& reject = rec.decisions()[1];
   EXPECT_FALSE(reject.accepted);
   EXPECT_EQ(reject.reason, trace::RejectionReason::RiskSigma);
+  EXPECT_EQ(reject.chosen_node, -1);
   EXPECT_EQ(reject.margin, -2.0);
   EXPECT_EQ(obs::required_improvement(reject), 2.0);
 
@@ -95,9 +111,11 @@ TEST(ExplainRecorder, RecordsAcceptAndRejectWithNodes) {
 
 TEST(ExplainRecorder, CapacityRingDropsOldest) {
   obs::ExplainRecorder rec(obs::ExplainConfig{.capacity = 2});
+  trace::Recorder emit(rec);
   for (std::int64_t id = 1; id <= 5; ++id) {
-    rec.begin(static_cast<double>(id), id, 1, 1.0, 1.0);
-    rec.finish_reject(trace::RejectionReason::NoSuitableNode, 0, 0.0);
+    const auto t = static_cast<double>(id);
+    emit.job_submitted(t, id, 1, 1.0, 1.0);
+    emit.job_rejected(t, id, trace::RejectionReason::NoSuitableNode, 0, 1);
   }
   ASSERT_EQ(rec.decisions().size(), 2u);
   EXPECT_EQ(rec.decisions()[0].job_id, 4);
@@ -111,19 +129,23 @@ TEST(ExplainRecorder, FiltersRetainButExtremesSeeEverything) {
   config.only_job = 2;
   config.only_rejections = true;
   obs::ExplainRecorder rec(config);
+  trace::Recorder emit(rec);
 
-  rec.begin(1.0, 1, 1, 1.0, 1.0);  // wrong job
-  rec.node({0, false, trace::RejectionReason::RiskSigma, 5.0, 0.5, -5.0});
-  rec.finish_reject(trace::RejectionReason::RiskSigma, 0, -5.0);
-  rec.begin(2.0, 2, 1, 1.0, 1.0);  // right job, accepted -> filtered
-  rec.node({0, true, trace::RejectionReason::None, 0.25, 0.5, 0.75});
-  rec.finish_accept(0, 0.75, 1);
-  rec.begin(3.0, 2, 1, 1.0, 1.0);  // right job, rejected -> retained
-  rec.finish_reject(trace::RejectionReason::RiskSigma, 0, -1.0);
+  emit.job_submitted(1.0, 1, 1, 1.0, 1.0);  // wrong job
+  emit.node_evaluated(1.0, 1, 0, trace::RejectionReason::RiskSigma, 5.0, 0.5,
+                      -5.0);
+  emit.job_rejected(1.0, 1, trace::RejectionReason::RiskSigma, 0, 1, -5.0);
+  emit.job_submitted(2.0, 2, 1, 1.0, 1.0);  // right job, accepted -> filtered
+  emit.node_evaluated(2.0, 2, 0, trace::RejectionReason::None, 0.25, 0.5, 0.75);
+  emit.job_admitted(2.0, 2, 0, 1, 0.5, 0.75);
+  emit.job_submitted(3.0, 2, 1, 1.0, 1.0);  // right job, rejected -> retained
+  emit.job_rejected(3.0, 2, trace::RejectionReason::RiskSigma, 0, 1, -1.0);
 
   ASSERT_EQ(rec.decisions().size(), 1u);
   EXPECT_EQ(rec.decisions()[0].job_id, 2);
   EXPECT_FALSE(rec.decisions()[0].accepted);
+  EXPECT_EQ(rec.recorded(), 3u);
+  EXPECT_EQ(rec.dropped(), 2u);
   // The filters drop retention only — the extremes saw both sigmas.
   EXPECT_EQ(rec.sigma_extremes().fail_min, 5.0);
   EXPECT_EQ(rec.sigma_extremes().pass_max, 0.25);
@@ -131,25 +153,107 @@ TEST(ExplainRecorder, FiltersRetainButExtremesSeeEverything) {
 
 TEST(ExplainRecorder, KeepNodesOffDropsNodeVectors) {
   obs::ExplainRecorder rec(obs::ExplainConfig{.keep_nodes = false});
-  rec.begin(1.0, 1, 1, 1.0, 1.0);
-  rec.node({0, true, trace::RejectionReason::None, 0.0, 0.5, 0.5});
-  rec.finish_accept(0, 0.5, 1);
+  trace::Recorder emit(rec);
+  emit.job_submitted(1.0, 1, 1, 1.0, 1.0);
+  emit.node_evaluated(1.0, 1, 0, trace::RejectionReason::None, 0.0, 0.5, 0.5);
+  emit.job_degraded_admit(1.0, 1, trace::RejectionReason::RiskSigma, 0, 0.0,
+                          0.5, 0.5);
   ASSERT_EQ(rec.decisions().size(), 1u);
   EXPECT_TRUE(rec.decisions()[0].nodes.empty());
+  EXPECT_EQ(rec.decisions()[0].suitable, 1);   // still counted
   EXPECT_EQ(rec.sigma_extremes().passes, 1u);  // still folded
+}
+
+TEST(ExplainRecorder, DeferralClearsNodesAndTheDecisionSetsTheTime) {
+  // A salvage retry scans again without node events: its record holds the
+  // submission's job data, the deciding event's time, and no node table.
+  obs::ExplainRecorder rec;
+  trace::Recorder emit(rec);
+  emit.job_submitted(5.0, 7, 1, 40.0, 20.0);
+  emit.node_evaluated(5.0, 7, 0, trace::RejectionReason::RiskSigma, 2.0, 0.7,
+                      -2.0);
+  emit.job_deferred(5.0, 7, trace::RejectionReason::RiskSigma, 15.0, 1);
+  emit.job_deferred(15.0, 7, trace::RejectionReason::RiskSigma, 25.0, 2);
+  emit.job_degraded_admit(25.0, 7, trace::RejectionReason::RiskSigma, 3, 0.0,
+                          0.4, 1.0);
+  ASSERT_EQ(rec.decisions().size(), 1u);
+  const obs::DecisionExplain& d = rec.decisions()[0];
+  EXPECT_EQ(d.time, 25.0);
+  EXPECT_EQ(d.deadline, 40.0);
+  EXPECT_EQ(d.estimate, 20.0);
+  EXPECT_TRUE(d.accepted);
+  EXPECT_EQ(d.reason, trace::RejectionReason::None);
+  EXPECT_EQ(d.chosen_node, 3);
+  EXPECT_EQ(d.suitable, 0);
+  EXPECT_TRUE(d.nodes.empty());
+  EXPECT_EQ(d.margin, 1.0);
+  EXPECT_EQ(rec.sigma_extremes().fails, 1u);  // the first scan still counts
+}
+
+TEST(ExplainRecorder, InterleavedJobsFoldIntoTheirOwnRecords) {
+  // Queueing policies hold several undecided jobs; node events and
+  // decisions find their record by job id. A started job with no decision
+  // event (an implicit accept) leaves no record, and a decision whose
+  // submission was never seen is counted and dropped.
+  obs::ExplainRecorder rec;
+  trace::Recorder emit(rec);
+  emit.job_submitted(1.0, 1, 1, 10.0, 5.0);
+  emit.job_submitted(2.0, 2, 2, 20.0, 6.0);
+  emit.job_submitted(3.0, 3, 1, 30.0, 7.0);
+  emit.node_evaluated(4.0, 2, 1, trace::RejectionReason::None, -1.0, 0.5, 0.5);
+  emit.job_started(4.0, 3, 0, 1, 7.0);
+  emit.job_rejected(5.0, 1, trace::RejectionReason::DeadlineInfeasible, 0, 1,
+                    -3.0);
+  emit.job_admitted(6.0, 2, 1, 1, 0.5, 0.5);
+  emit.job_rejected(7.0, 3, trace::RejectionReason::DeadlineInfeasible, 0, 1);
+  emit.job_rejected(8.0, 9, trace::RejectionReason::NoSuitableNode, 0, 1);
+
+  ASSERT_EQ(rec.decisions().size(), 2u);
+  EXPECT_EQ(rec.decisions()[0].job_id, 1);
+  EXPECT_EQ(rec.decisions()[0].time, 5.0);
+  EXPECT_EQ(rec.decisions()[0].margin, -3.0);
+  EXPECT_TRUE(rec.decisions()[0].nodes.empty());
+  EXPECT_EQ(rec.decisions()[1].job_id, 2);
+  EXPECT_EQ(rec.decisions()[1].num_procs, 2);
+  ASSERT_EQ(rec.decisions()[1].nodes.size(), 1u);
+  EXPECT_EQ(rec.decisions()[1].nodes[0].node, 1);
+  EXPECT_EQ(rec.recorded(), 4u);
+  EXPECT_EQ(rec.dropped(), 2u);
+  // Share-test nodes carry no sigma and leave the extremes alone.
+  EXPECT_EQ(rec.sigma_extremes().passes, 0u);
 }
 
 // ---- the tentpole guarantee: provenance never changes a decision ----
 
-TEST(ExplainProvenance, TracesByteIdenticalAcrossPoliciesAndSeeds) {
+TEST(ExplainProvenance, LiveRecordsMatchTheTraceAcrossPoliciesAndSeeds) {
+  // A run with an ExplainRecorder as its sink decides exactly as a run
+  // traced to a file, and its records are those folded from that file.
   for (const core::Policy policy : core::all_policies()) {
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-      const std::string plain = record_lrt(policy, seed, nullptr);
-      obs::ExplainRecorder rec;
-      const std::string explained = record_lrt(policy, seed, &rec);
-      ASSERT_EQ(plain, explained)
-          << core::to_string(policy) << " seed " << seed;
-      ASSERT_FALSE(plain.empty()) << core::to_string(policy);
+      const std::string label =
+          std::string(core::to_string(policy)) + " seed " + std::to_string(seed);
+      const Recorded file = record_lrt(policy, seed);
+      ASSERT_FALSE(file.lrt.empty()) << label;
+      const obs::ExplainConfig keep_all{.capacity = 100000};
+      obs::ExplainRecorder offline(keep_all);
+      std::istringstream in(file.lrt);
+      for (const trace::Event& e : trace::read_lrt(in).events)
+        offline.write(e);
+
+      obs::ExplainRecorder live(keep_all);
+      const exp::ScenarioResult r =
+          exp::run_with_margins(small_scenario(policy, seed), live);
+      ASSERT_EQ(r.outcomes.size(), file.result.outcomes.size()) << label;
+      for (std::size_t i = 0; i < r.outcomes.size(); ++i) {
+        const exp::JobOutcome& a = r.outcomes[i];
+        const exp::JobOutcome& b = file.result.outcomes[i];
+        ASSERT_TRUE(a.id == b.id && a.fate == b.fate && a.delay == b.delay &&
+                    a.node == b.node && a.margin == b.margin)
+            << label << ", job " << a.id;
+      }
+      EXPECT_TRUE(live.decisions() == offline.decisions()) << label;
+      EXPECT_EQ(live.recorded(), offline.recorded()) << label;
+      EXPECT_EQ(live.sigma_extremes(), offline.sigma_extremes()) << label;
     }
   }
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
+
 #include "helpers.hpp"
 #include "support/check.hpp"
 
@@ -41,6 +44,25 @@ TEST(Job, ValidateRejectsBadFields) {
   Job no_sched_estimate = make_job(1, 0.0, 10.0, 20.0);
   no_sched_estimate.scheduler_estimate = 0.0;
   EXPECT_THROW(no_sched_estimate.validate(), CheckError);
+}
+
+TEST(Job, ValidateRejectsNonFiniteTimes) {
+  using Field = double Job::*;
+  const std::pair<const char*, Field> fields[] = {
+      {"submit_time", &Job::submit_time},
+      {"actual_runtime", &Job::actual_runtime},
+      {"user_estimate", &Job::user_estimate},
+      {"scheduler_estimate", &Job::scheduler_estimate},
+      {"deadline", &Job::deadline}};
+  for (const auto& [name, field] : fields) {
+    for (const double bad : {std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+      Job job = make_job(1, 0.0, 10.0, 20.0);
+      job.*field = bad;
+      EXPECT_THROW(job.validate(), CheckError) << name << " = " << bad;
+    }
+  }
 }
 
 TEST(Job, UrgencyToString) {

@@ -9,6 +9,7 @@
 #include "helpers.hpp"
 #include "obs/explain.hpp"
 #include "support/check.hpp"
+#include "trace/recorder.hpp"
 #include "workload/synthetic.hpp"
 
 namespace librisk::core {
@@ -197,10 +198,9 @@ TEST(Libra, ExplainRecordsMatchFinalFateUnderEveryOverloadMode) {
       s.nodes = 32;
       s.policy = policy;
       s.options.overload.mode = mode;
-      obs::ExplainConfig explain_config;
-      explain_config.capacity = jobs.size();
-      obs::ExplainRecorder explain(explain_config);
-      s.options.hooks.explain = &explain;
+      obs::ExplainRecorder explain({.capacity = jobs.size()});
+      trace::Recorder recorder(explain);
+      s.options.hooks.trace = &recorder;
       const exp::ScenarioResult r = exp::run_jobs(s, jobs);
       const std::string label = std::string(to_string(policy)) + " " +
                                 std::string(to_string(mode));

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -443,6 +444,47 @@ TEST_F(TraceToolTest, RecordMarginsAndExplain) {
   // Unknown job / missing flags are parse errors (exit 2).
   EXPECT_EQ(tool({"explain", "--in=" + m, "--job=99999"}, &text), 2);
   EXPECT_EQ(tool({"explain", "--in=" + m}, &text), 2);
+}
+
+TEST_F(TraceToolTest, OfflineExplainMatchesLiveAfterSalvageRetry) {
+  // Under DeferToSalvage a parked job is decided by a later retry scan. The
+  // offline fold and the live run must print the same record for it: the
+  // retry's time, and no node table (the retry emits no node events).
+  const std::vector<std::string> scenario = {
+      "--jobs=400", "--nodes=32", "--seed=1", "--policy=LibraRisk",
+      "--overload-mode=defer-to-salvage", "--load-scale=0.35"};
+  const std::string lrt = path("salvage.lrt");
+  std::vector<std::string> record = {"record", "--margins", "--out=" + lrt};
+  record.insert(record.end(), scenario.begin(), scenario.end());
+  ASSERT_EQ(tool(record), 0);
+
+  // The first retried job decided by a rejection and the first decided by
+  // a (degraded) admission.
+  std::int64_t rejected = -1;
+  std::int64_t admitted = -1;
+  std::set<std::int64_t> deferred;
+  for (const trace::Event& e : trace::read_trace_file(lrt).events) {
+    if (e.kind == trace::EventKind::JobDeferred) deferred.insert(e.job);
+    if (!deferred.contains(e.job)) continue;
+    if (e.kind == trace::EventKind::JobRejected && rejected < 0) rejected = e.job;
+    if (e.kind == trace::EventKind::JobDegradedAdmit && admitted < 0)
+      admitted = e.job;
+  }
+  ASSERT_GE(rejected, 0);
+  ASSERT_GE(admitted, 0);
+
+  for (const std::int64_t job : {rejected, admitted}) {
+    const std::string job_flag = "--job=" + std::to_string(job);
+    std::string offline;
+    ASSERT_EQ(tool({"explain", "--in=" + lrt, job_flag}, &offline), 0) << offline;
+    std::vector<std::string> explain = {job_flag};
+    explain.insert(explain.end(), scenario.begin(), scenario.end());
+    std::ostringstream live, err;
+    ASSERT_EQ(tool::run_command("explain", explain, live, err), 0) << err.str();
+    // `explain` prints the same describe() block, then its run summary.
+    EXPECT_EQ(live.str().substr(0, offline.size()), offline) << "job " << job;
+    EXPECT_EQ(offline.find("node  verdict"), std::string::npos) << offline;
+  }
 }
 
 }  // namespace

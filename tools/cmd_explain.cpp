@@ -3,16 +3,17 @@
 #include "obs/explain.hpp"
 #include "support/table.hpp"
 #include "tools/common.hpp"
+#include "trace/recorder.hpp"
 
 namespace librisk::tool {
 
-/// `librisk-sim explain`: run a scenario with an obs::ExplainRecorder
-/// attached and print the margin record of every retained decision — which
+/// `librisk-sim explain`: run a scenario with an obs::ExplainRecorder as its
+/// trace sink and print the margin record of every retained decision — which
 /// nodes the scan touched, the signed headroom of each admission test, and
 /// for rejections the smallest improvement that would have flipped the
-/// verdict. Attaching the recorder never changes a decision (it forces
-/// exact sigmas, like tracing), so what prints here is what the plain run
-/// decided.
+/// verdict. Tracing never changes a decision (it forces exact sigmas), so
+/// what prints here is what the plain run decided, and `trace explain` folds
+/// a recorded trace through the same recorder.
 int cmd_explain(const std::vector<std::string>& args, std::ostream& out) {
   cli::Parser parser("librisk-sim explain",
                      "Run a scenario, explain its admission decisions");
@@ -35,13 +36,13 @@ int cmd_explain(const std::vector<std::string>& args, std::ostream& out) {
       policy_opt.set ? policy_opt.value : cfg.string_or("policy", policy_opt.value));
   const auto jobs = workload_from_flags(f, cfg, scenario);
 
-  obs::ExplainConfig explain_config;
-  explain_config.capacity = static_cast<std::size_t>(last_opt.value);
-  explain_config.only_job = job_opt.value;
-  explain_config.only_rejections = rejections_opt.value;
-  explain_config.keep_nodes = !no_nodes_opt.value;
-  obs::ExplainRecorder recorder(explain_config);
-  scenario.options.hooks.explain = &recorder;
+  obs::ExplainRecorder recorder(
+      {.capacity = static_cast<std::size_t>(last_opt.value),
+       .only_job = job_opt.value,
+       .only_rejections = rejections_opt.value,
+       .keep_nodes = !no_nodes_opt.value});
+  trace::Recorder trace(recorder);
+  scenario.options.hooks.trace = &trace;
 
   const exp::ScenarioResult r = exp::run_jobs(scenario, jobs);
 
