@@ -146,11 +146,11 @@ AdmissionOutcome AdmissionEngine::outcome_of(std::int64_t job_id) const {
       break;
   }
   // The placement note is only trustworthy for the job just decided:
-  // policies overwrite it per admission, and queueing policies never
-  // write it at all — the id guard covers both. It also carries the
-  // overload-catalog marks: a degraded admission upgrades Accepted to
-  // DegradedAdmit, and a salvage-parked job (Pending, not started, no
-  // verdict yet) reports as Deferred instead of Queued.
+  // every admission overwrites it, a queueing policy's admission of an
+  // older job at dispatch included — the id guard covers that. It also
+  // carries the overload-catalog marks: a degraded admission upgrades
+  // Accepted to DegradedAdmit, and a salvage-parked job (Pending, not
+  // started, no verdict yet) reports as Deferred instead of Queued.
   const Scheduler::Decision& d = scheduler_.last_decision();
   if (d.job_id == job_id) {
     if (out.verdict == AdmissionOutcome::Verdict::Accepted) {

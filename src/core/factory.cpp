@@ -4,9 +4,7 @@
 
 #include "cluster/spaceshared.hpp"
 #include "cluster/timeshared.hpp"
-#include "core/edf.hpp"
-#include "core/fcfs.hpp"
-#include "core/qops.hpp"
+#include "core/queue.hpp"
 
 namespace librisk::core {
 
@@ -59,9 +57,6 @@ class TimeSharedStack final : public SchedulerStack {
   double busy_node_seconds(sim::SimTime) const override {
     return executor_.delivered_node_seconds();
   }
-  AdmissionStats admission_stats() const override {
-    return scheduler_.admission_stats();
-  }
   cluster::KernelStats kernel_stats() const override {
     return executor_.kernel_stats();
   }
@@ -71,11 +66,10 @@ class TimeSharedStack final : public SchedulerStack {
   LibraScheduler scheduler_;
 };
 
-template <typename SchedulerT, typename ConfigT>
 class SpaceSharedStack final : public SchedulerStack {
  public:
   SpaceSharedStack(sim::Simulator& simulator, const cluster::Cluster& cluster,
-                   Collector& collector, ConfigT config, std::string name,
+                   Collector& collector, QueueConfig config, std::string name,
                    cluster::SpaceSharedConfig executor_config, const Hooks& hooks)
       : executor_(simulator, cluster, executor_config),
         scheduler_(simulator, executor_, collector, config, std::move(name)) {
@@ -89,18 +83,10 @@ class SpaceSharedStack final : public SchedulerStack {
   double busy_node_seconds(sim::SimTime now) const override {
     return executor_.busy_node_seconds(now);
   }
-  AdmissionStats admission_stats() const override {
-    // Schedulers that track the shared stats shape (EDF's dispatch-time
-    // admission control) surface it; the rest keep the all-zero default.
-    if constexpr (requires { scheduler_.admission_stats(); })
-      return scheduler_.admission_stats();
-    else
-      return {};
-  }
 
  private:
   cluster::SpaceSharedExecutor executor_;
-  SchedulerT scheduler_;
+  QueueScheduler scheduler_;
 };
 
 LibraConfig libra_family_config(Policy policy, const PolicyOptions& options) {
@@ -120,6 +106,39 @@ LibraConfig libra_family_config(Policy policy, const PolicyOptions& options) {
   return config;
 }
 
+/// The space-shared policies as queue-scheduler configurations. The
+/// default QueueConfig is EDF (deadline order + dispatch admission). The
+/// overload entry rides along everywhere; only dispatch admission gives it
+/// a rejection site to bend.
+QueueConfig queue_config(Policy policy, const PolicyOptions& options) {
+  QueueConfig config;
+  config.overload = options.overload;
+  switch (policy) {
+    case Policy::Edf:
+      break;
+    case Policy::EdfBackfill:
+      config.backfilling = true;
+      break;
+    case Policy::EdfNoAC:
+      config.dispatch_admission = false;
+      break;
+    case Policy::Fcfs:
+    case Policy::Easy:
+      config.order = QueueConfig::Order::Arrival;
+      config.dispatch_admission = false;
+      config.backfilling = policy == Policy::Easy;
+      break;
+    case Policy::Qops:
+      config.dispatch_admission = false;
+      config.qops_slack = options.qops_slack_factor;
+      break;
+    case Policy::Libra:
+    case Policy::LibraRisk:
+      throw std::invalid_argument("not a space-shared policy");
+  }
+  return config;
+}
+
 }  // namespace
 
 std::unique_ptr<SchedulerStack> make_scheduler(Policy policy,
@@ -134,45 +153,13 @@ std::unique_ptr<SchedulerStack> make_scheduler(Policy policy,
   options.overload.validate();
   const cluster::SpaceSharedConfig space_config{
       .kill_at_estimate = options.share_model.kill_at_estimate};
-  switch (policy) {
-    case Policy::Libra:
-    case Policy::LibraRisk:
-      return std::make_unique<TimeSharedStack>(
-          simulator, cluster, collector, libra_family_config(policy, options),
-          name, options.share_model, options.hooks);
-    case Policy::Edf:
-      return std::make_unique<SpaceSharedStack<EdfScheduler, EdfConfig>>(
-          simulator, cluster, collector,
-          EdfConfig{.admission_control = true, .overload = options.overload},
-          name, space_config, options.hooks);
-    case Policy::EdfNoAC:
-      // No admission control means no rejection site for any mode to bend.
-      return std::make_unique<SpaceSharedStack<EdfScheduler, EdfConfig>>(
-          simulator, cluster, collector, EdfConfig{.admission_control = false, .overload = {}},
-          name, space_config, options.hooks);
-    case Policy::EdfBackfill:
-      return std::make_unique<SpaceSharedStack<EdfScheduler, EdfConfig>>(
-          simulator, cluster, collector,
-          EdfConfig{.admission_control = true, .backfilling = true,
-                    .overload = options.overload},
-          name, space_config, options.hooks);
-    case Policy::Fcfs:
-      return std::make_unique<SpaceSharedStack<FcfsScheduler, FcfsConfig>>(
-          simulator, cluster, collector,
-          FcfsConfig{.backfilling = false, .deadline_admission = false}, name,
-          space_config, options.hooks);
-    case Policy::Easy:
-      return std::make_unique<SpaceSharedStack<FcfsScheduler, FcfsConfig>>(
-          simulator, cluster, collector,
-          FcfsConfig{.backfilling = true, .deadline_admission = false}, name,
-          space_config, options.hooks);
-    case Policy::Qops:
-      return std::make_unique<SpaceSharedStack<QopsScheduler, QopsConfig>>(
-          simulator, cluster, collector,
-          QopsConfig{.slack_factor = options.qops_slack_factor}, name,
-          space_config, options.hooks);
-  }
-  throw std::invalid_argument("unhandled policy");
+  if (policy == Policy::Libra || policy == Policy::LibraRisk)
+    return std::make_unique<TimeSharedStack>(
+        simulator, cluster, collector, libra_family_config(policy, options),
+        name, options.share_model, options.hooks);
+  return std::make_unique<SpaceSharedStack>(
+      simulator, cluster, collector, queue_config(policy, options), name,
+      space_config, options.hooks);
 }
 
 }  // namespace librisk::core

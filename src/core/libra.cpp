@@ -30,9 +30,9 @@ LibraScheduler::LibraScheduler(sim::Simulator& simulator,
                                cluster::TimeSharedExecutor& executor,
                                Collector& collector, LibraConfig config,
                                std::string name)
-    : sim_(simulator),
+    : Scheduler(collector),
+      sim_(simulator),
       executor_(executor),
-      collector_(collector),
       config_(config),
       name_(std::move(name)) {
   LIBRISK_CHECK(config_.capacity > 0.0, "node capacity must be positive");
@@ -479,55 +479,14 @@ void LibraScheduler::admit(const Job& job, const Job& run, sim::SimTime now,
     slowest = std::min(slowest, executor_.cluster().speed_factor(suitable_[i].node));
   }
   const Candidate& head = suitable_[0];
-  const bool degraded = bent != trace::RejectionReason::None;
-  const double margin = node_margin(head.fit, head.sigma);
-  ++stats_.accepted;
-  if (degraded) ++stats_.degraded_admits;
-  note_decision(job.id, head.node, head.sigma, margin, degraded);
-  if (trace_ != nullptr) {
-    if (degraded)
-      trace_->job_degraded_admit(now, job.id, bent, head.node, head.sigma,
-                                 head.fit, margin);
-    else
-      trace_->job_admitted(now, job.id, head.node,
-                           static_cast<int>(suitable_.size()), head.fit, margin);
-  }
+  Scheduler::admit(job, now, head.node, static_cast<int>(suitable_.size()),
+                   head.fit, head.sigma, node_margin(head.fit, head.sigma),
+                   bent);
   // `run` carries the deadline the executor paces against; its share is the
   // one the cluster actually bears, so it feeds the load signal.
   if (overload_enabled_) track_inflight(run, chosen);
   collector_.record_started(job, now, job.actual_runtime / slowest);
   executor_.start(run, std::move(chosen));
-  if (degraded) {
-    LIBRISK_LOG(Debug) << name_ << ": degraded-admitted job " << job.id
-                       << " (bent " << trace::to_string(bent) << ")";
-  }
-}
-
-void LibraScheduler::reject(const Job& job, sim::SimTime now,
-                            trace::RejectionReason reason, int suitable,
-                            bool at_dispatch, double margin) {
-  ++stats_.rejections;
-  switch (reason) {
-    case trace::RejectionReason::ShareOverflow:
-      ++stats_.rejected_share_overflow;
-      break;
-    case trace::RejectionReason::RiskSigma:
-      ++stats_.rejected_risk_sigma;
-      break;
-    case trace::RejectionReason::NoSuitableNode:
-      ++stats_.rejected_no_suitable_node;
-      break;
-    default:
-      LIBRISK_CHECK(false, "no Libra rejection carries reason "
-                               << trace::to_string(reason));
-  }
-  collector_.record_rejected(job, now, at_dispatch, reason);
-  if (trace_ != nullptr)
-    trace_->job_rejected(now, job.id, reason, suitable, job.num_procs, margin);
-  LIBRISK_LOG(Debug) << name_ << ": rejected job " << job.id << " ("
-                     << trace::to_string(reason) << ", " << suitable << '/'
-                     << job.num_procs << " suitable nodes"
-                     << (at_dispatch ? ", at dispatch" : "") << ")";
 }
 
 // ---- seed implementation (differential-testing reference) ----

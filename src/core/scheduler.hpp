@@ -2,13 +2,16 @@
 // trace driver that feeds them.
 #pragma once
 
+#include <cstdint>
 #include <string_view>
 #include <vector>
 
 #include "metrics/collector.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/simulator.hpp"
+#include "support/check.hpp"
 #include "support/hooks.hpp"
+#include "support/log.hpp"
 #include "trace/recorder.hpp"
 #include "workload/job.hpp"
 
@@ -17,10 +20,88 @@ namespace librisk::core {
 using metrics::Collector;
 using workload::Job;
 
+/// Decision counters of one scheduler, reset-free and monotonic; cheap
+/// enough to maintain unconditionally. Every policy counts its submissions,
+/// acceptances and rejections (by reason) through Scheduler's decision step;
+/// the node-scan effort counters and the share/sigma near-miss pairs are
+/// the Libra family's, the deadline near-miss pair the EDF family's.
+/// Queryable from the scheduler (and surfaced by `librisk-sim run`,
+/// `examples/diagnose` and ScenarioResult).
+struct AdmissionStats {
+  std::uint64_t submissions = 0;      ///< jobs offered to the admission test
+  std::uint64_t accepted = 0;
+  std::uint64_t rejections = 0;
+  std::uint64_t nodes_scanned = 0;    ///< nodes examined for suitability
+  std::uint64_t assessments = 0;      ///< full share/risk evaluations run
+  std::uint64_t empty_node_skips = 0; ///< ZeroRisk empty-node fast-path hits
+  std::uint64_t early_exits = 0;      ///< FirstFit scans stopped before the last node
+  /// Of `assessments`, those served by the batched core::assess_nodes kernel
+  /// (ZeroRisk scans; the remainder went through the scalar per-node path).
+  std::uint64_t batched_assessments = 0;
+  /// Nodes rejected by the batch σ-spread bound without a full evaluation
+  /// (untraced ZeroRisk scans only — tracing needs the exact σ, so traced
+  /// runs evaluate every node and this stays 0). These nodes still count in
+  /// `nodes_scanned` but not in `assessments`.
+  std::uint64_t nodes_batch_skipped = 0;
+  /// Rejections attributed by reason (sums to `rejections`):
+  std::uint64_t rejected_share_overflow = 0;   ///< Eq. 2 total-share shortfall (Libra)
+  std::uint64_t rejected_risk_sigma = 0;       ///< sigma-test shortfall (LibraRisk)
+  std::uint64_t rejected_no_suitable_node = 0; ///< needs more nodes than the cluster has
+  /// EDF-family dispatch-time deadline test, or QoPS's submission-time
+  /// feasibility test.
+  std::uint64_t rejected_deadline_infeasible = 0;
+  /// Near-miss rejections, attributed by the decisive test: the job-level
+  /// deficit (the k-th smallest failing-node shortfall, k = num_procs -
+  /// suitable — i.e. the smallest improvement that would have admitted) was
+  /// within 5% / 10% of the test's scale (share: node capacity; sigma:
+  /// max(sigma_threshold, 1); deadline: the job's relative deadline). The
+  /// 10% counters include the 5% ones. Exact when margins are observed
+  /// (a live trace sink attached); conservative — an undercount — when the
+  /// batch spread bound skipped exact sigmas, same caveat as
+  /// `nodes_batch_skipped`.
+  std::uint64_t near_miss_share_5 = 0;
+  std::uint64_t near_miss_share_10 = 0;
+  std::uint64_t near_miss_sigma_5 = 0;
+  std::uint64_t near_miss_sigma_10 = 0;
+  std::uint64_t near_miss_deadline_5 = 0;   ///< EDF-family dispatch rejections
+  std::uint64_t near_miss_deadline_10 = 0;
+  /// Overload-catalog outcomes (core/overload.hpp); all 0 under HardReject.
+  /// `degraded_admits` is a subset of `accepted` (the job IS running, it
+  /// just got there through a licensed bend), so the per-reason sums stay
+  /// exact.
+  std::uint64_t degraded_admits = 0;       ///< admissions via a degraded-mode bend
+  std::uint64_t deferrals = 0;             ///< DeferToSalvage park events (retries, not jobs)
+  std::uint64_t overload_activations = 0;  ///< governor flips into degraded operation
+
+  /// Derived views shared by every stats surface (CLI, diagnose, telemetry)
+  /// so the arithmetic lives in exactly one place. All are 0 when the
+  /// denominator is 0.
+  [[nodiscard]] double scans_per_submission() const noexcept {
+    return submissions > 0 ? static_cast<double>(nodes_scanned) /
+                                 static_cast<double>(submissions)
+                           : 0.0;
+  }
+  [[nodiscard]] double accept_rate() const noexcept {
+    return submissions > 0
+               ? static_cast<double>(accepted) / static_cast<double>(submissions)
+               : 0.0;
+  }
+  [[nodiscard]] std::uint64_t near_miss_5() const noexcept {
+    return near_miss_share_5 + near_miss_sigma_5 + near_miss_deadline_5;
+  }
+  [[nodiscard]] std::uint64_t near_miss_10() const noexcept {
+    return near_miss_share_10 + near_miss_sigma_10 + near_miss_deadline_10;
+  }
+
+  bool operator==(const AdmissionStats&) const = default;
+};
+
 /// A cluster RMS policy: receives each job at its submission instant and is
 /// responsible for eventually resolving it in the collector (reject, or
 /// start + complete). Implementations drive their own executors off the
-/// shared Simulator.
+/// shared Simulator, and close every submission through the one decision
+/// step below (admit() or reject()), which keeps the AdmissionStats, the
+/// Decision note and the decision trace event in agreement.
 class Scheduler {
  public:
   virtual ~Scheduler() = default;
@@ -35,12 +116,13 @@ class Scheduler {
 
   /// Placement detail of the most recent admission decision, for
   /// AdmissionEngine::submit's per-job outcome. Valid only while
-  /// `job_id` matches the job just submitted — policies that queue instead
-  /// of deciding at submission leave it untouched (the engine checks the id
-  /// and reports such jobs as queued). Rejection *reasons* travel through
-  /// the collector record, which survives later overwrites; this struct
-  /// carries what the collector cannot: the node the job landed on and the
-  /// tentative sigma its admission test saw.
+  /// `job_id` matches the job just submitted — every admission overwrites
+  /// it, including a queueing policy's admission of an older job at
+  /// dispatch, so the engine checks the id (a queued job reports as
+  /// queued). Rejection *reasons* travel through the collector record,
+  /// which survives later overwrites; this struct carries what the
+  /// collector cannot: the node the job landed on and the tentative sigma
+  /// its admission test saw.
   struct Decision {
     std::int64_t job_id = -1;
     std::int32_t node = -1;  ///< first selected node; -1 when none
@@ -73,8 +155,13 @@ class Scheduler {
     if (hooks.telemetry != nullptr) on_telemetry(*hooks.telemetry);
   }
 
+  /// Decision counters since construction (see AdmissionStats).
+  [[nodiscard]] const AdmissionStats& admission_stats() const noexcept {
+    return stats_;
+  }
+
  protected:
-  Scheduler() = default;
+  explicit Scheduler(Collector& collector) : collector_(collector) {}
 
   /// Registration hook: add pull metrics, series and samplers. Called once
   /// from attach() with a telemetry that outlives the run.
@@ -92,6 +179,70 @@ class Scheduler {
     last_decision_ = Decision{job_id, -1, -1.0, 0.0, false, true};
   }
 
+  /// The decision step, accept side: counts the admission, notes the
+  /// placement for last_decision() and emits JobAdmitted — or, when `bent`
+  /// names the test a degraded mode bent, JobDegradedAdmit. `node` is the
+  /// first chosen node (-1 before placement), `suitable` the nodes the test
+  /// found, `fit` the chosen node's total share (0.0 when none applies),
+  /// `sigma` the tentative sigma (-1 when no sigma test ran) and `margin`
+  /// the chosen-node headroom (0.0 when the policy computes none). The
+  /// caller starts the job after this returns.
+  void admit(const Job& job, sim::SimTime now, std::int32_t node, int suitable,
+             double fit, double sigma, double margin,
+             trace::RejectionReason bent = trace::RejectionReason::None) {
+    const bool degraded = bent != trace::RejectionReason::None;
+    ++stats_.accepted;
+    if (degraded) ++stats_.degraded_admits;
+    note_decision(job.id, node, sigma, margin, degraded);
+    if (trace_ != nullptr) {
+      if (degraded)
+        trace_->job_degraded_admit(now, job.id, bent, node, sigma, fit, margin);
+      else
+        trace_->job_admitted(now, job.id, node, suitable, fit, margin);
+    }
+    if (degraded) {
+      LIBRISK_LOG(Debug) << name() << ": degraded-admitted job " << job.id
+                         << " (bent " << trace::to_string(bent) << ")";
+    }
+  }
+
+  /// The decision step, reject side: counts the rejection by reason, records
+  /// it in the collector and emits JobRejected, all carrying `suitable` and
+  /// `margin` (the job-level headroom, 0.0 when unquantified).
+  void reject(const Job& job, sim::SimTime now, trace::RejectionReason reason,
+              int suitable, bool at_dispatch, double margin) {
+    ++stats_.rejections;
+    switch (reason) {
+      case trace::RejectionReason::ShareOverflow:
+        ++stats_.rejected_share_overflow;
+        break;
+      case trace::RejectionReason::RiskSigma:
+        ++stats_.rejected_risk_sigma;
+        break;
+      case trace::RejectionReason::NoSuitableNode:
+        ++stats_.rejected_no_suitable_node;
+        break;
+      case trace::RejectionReason::DeadlineInfeasible:
+        ++stats_.rejected_deadline_infeasible;
+        break;
+      default:
+        LIBRISK_CHECK(false, "no rejection carries reason "
+                                 << trace::to_string(reason));
+    }
+    collector_.record_rejected(job, now, at_dispatch, reason);
+    if (trace_ != nullptr)
+      trace_->job_rejected(now, job.id, reason, suitable, job.num_procs, margin);
+    LIBRISK_LOG(Debug) << name() << ": rejected job " << job.id << " ("
+                       << trace::to_string(reason) << ", " << suitable << '/'
+                       << job.num_procs << " suitable nodes"
+                       << (at_dispatch ? ", at dispatch" : "") << ")";
+  }
+
+  /// Borrowed; receives every job's lifecycle records.
+  Collector& collector_;
+  /// Decision counts come from admit() and reject(); policies add their
+  /// submission count and their own effort and near-miss counters.
+  AdmissionStats stats_;
   /// Borrowed, may be null; subclasses emit admission events through it.
   trace::Recorder* trace_ = nullptr;
   /// Borrowed, may be null.

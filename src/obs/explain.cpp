@@ -41,9 +41,6 @@ void ExplainRecorder::write(const trace::Event& event) {
     case EventKind::JobRejected:
       decide(event);
       return;
-    case EventKind::JobStarted:
-      pending_.erase(event.job);
-      return;
     default:
       return;
   }
@@ -122,7 +119,10 @@ std::string describe(const DecisionExplain& d) {
   std::ostringstream os;
   os << "job " << d.job_id << " @ t=" << d.time << "  (procs=" << d.num_procs
      << ", deadline=" << d.deadline << ", estimate=" << d.estimate << ")\n";
-  if (d.accepted) {
+  if (d.accepted && d.chosen_node < 0) {
+    // QoPS admits at submission, before the dispatcher places the job.
+    os << "  ACCEPTED before placement (queued; no node test ran)\n";
+  } else if (d.accepted) {
     os << "  ACCEPTED on node " << d.chosen_node << " (" << d.suitable
        << " suitable node(s); chosen-node margin " << d.margin << ")\n";
   } else {

@@ -23,9 +23,12 @@
 //                     suitable nodes in the record (the normal test's — a
 //                     bent re-scan's count is not in the trace).
 //   JobRejected       closes it as a rejection (suitable = a).
-// The record's time is the decision event's time. JobStarted discards a
-// record still pending, which is how a job accepted without a decision
-// event (EDF starts its accepts silently) leaves the pending set.
+// The record's time is the decision event's time. Every policy closes every
+// submission with exactly one of the three decision events
+// (core::Scheduler's decision step): the Libra family and QoPS at
+// submission, the queueing policies (EDF family, FCFS, EASY) when the job
+// starts or is rejected at dispatch — so a queued job's record stays
+// pending until then, and none is left behind at the end of a run.
 //
 // Margin sign convention (shared with trace Event::margin, see
 // docs/TRACING.md "Margins"): margin >= 0 means the test passed with that
@@ -34,7 +37,10 @@
 //   ZeroRisk node:    sigma_threshold - sigma   (tolerance excluded: the
 //                     engine's test is sigma <= threshold + tolerance, so a
 //                     node passes iff margin >= -tolerance)
-//   Deadline reject:  allowed_finish - best_case_finish
+//   Deadline test:    allowed_finish - best_case_finish (EDF and EDF-BF
+//                     rejects and admits; a DowngradeQoS admit measures
+//                     against the extended deadline). FCFS, EASY, EDF-NoAC
+//                     and QoPS run no deadline test at start and carry 0.
 //   Job-level reject: -(k-th smallest node deficit), k = num_procs -
 //                     suitable_count — the smallest per-node improvement
 //                     that would have yielded enough suitable nodes.
@@ -96,8 +102,8 @@ struct DecisionExplain {
   /// header comment. 0.0 when no margin applies (e.g. NoSuitableNode).
   double margin = 0.0;
   /// Per-node margins in scan order; empty for policies without a node
-  /// scan (EDF family), for a decision a salvage retry reached, or when
-  /// ExplainConfig::keep_nodes is off.
+  /// scan (the space-shared family), for a decision a salvage retry
+  /// reached, or when ExplainConfig::keep_nodes is off.
   std::vector<NodeMargin> nodes;
 
   friend bool operator==(const DecisionExplain&, const DecisionExplain&) = default;

@@ -1,4 +1,4 @@
-#include "core/edf.hpp"
+#include "core/queue.hpp"
 
 #include <gtest/gtest.h>
 
@@ -9,8 +9,22 @@ namespace {
 
 using librisk::testing::JobBuilder;
 
+/// The factory's EDF-NoAC configuration.
+QueueConfig no_admission() {
+  QueueConfig config;
+  config.dispatch_admission = false;
+  return config;
+}
+
+/// The factory's EDF-BF configuration.
+QueueConfig backfilling() {
+  QueueConfig config;
+  config.backfilling = true;
+  return config;
+}
+
 struct Fixture {
-  explicit Fixture(int nodes, EdfConfig config = EdfConfig{})
+  explicit Fixture(int nodes, QueueConfig config = QueueConfig{})
       : cluster(cluster::Cluster::homogeneous(nodes, 1.0)),
         executor(simulator, cluster),
         scheduler(simulator, executor, collector, config) {}
@@ -24,7 +38,7 @@ struct Fixture {
   cluster::Cluster cluster;
   cluster::SpaceSharedExecutor executor;
   metrics::Collector collector;
-  EdfScheduler scheduler;
+  QueueScheduler scheduler;
 };
 
 TEST(Edf, RunsImmediatelyWhenNodesFree) {
@@ -132,7 +146,7 @@ TEST(Edf, UsesEstimateNotActualForAdmission) {
 }
 
 TEST(EdfNoAC, RunsEverythingEvenLate) {
-  Fixture f(1, EdfConfig{.admission_control = false, .overload = {}});
+  Fixture f(1, no_admission());
   const workload::Job a = JobBuilder(1).set_runtime(100.0).deadline(150.0).build();
   const workload::Job b = JobBuilder(2).set_runtime(100.0).deadline(150.0).build();
   f.submit(a);
@@ -144,7 +158,7 @@ TEST(EdfNoAC, RunsEverythingEvenLate) {
 }
 
 TEST(EdfBackfill, FillsTheShadowWindow) {
-  Fixture f(2, EdfConfig{.admission_control = true, .backfilling = true, .overload = {}});
+  Fixture f(2, backfilling());
   const workload::Job occupant = JobBuilder(1).set_runtime(100.0).deadline(400.0).build();
   f.submit(occupant);
   const workload::Job head =
@@ -161,7 +175,7 @@ TEST(EdfBackfill, FillsTheShadowWindow) {
 }
 
 TEST(EdfBackfill, RefusesBackfillThatWouldDelayHead) {
-  Fixture f(2, EdfConfig{.admission_control = true, .backfilling = true, .overload = {}});
+  Fixture f(2, backfilling());
   const workload::Job occupant = JobBuilder(1).set_runtime(100.0).deadline(400.0).build();
   f.submit(occupant);
   const workload::Job head =
@@ -175,7 +189,7 @@ TEST(EdfBackfill, RefusesBackfillThatWouldDelayHead) {
 }
 
 TEST(EdfBackfill, BackfillsInDeadlineOrder) {
-  Fixture f(3, EdfConfig{.admission_control = true, .backfilling = true, .overload = {}});
+  Fixture f(3, backfilling());
   // Occupy all three nodes: nothing can backfill yet.
   const workload::Job wide =
       JobBuilder(1).set_runtime(100.0).deadline(400.0).procs(2).build();
@@ -202,7 +216,7 @@ TEST(EdfBackfill, BackfillsInDeadlineOrder) {
 }
 
 TEST(EdfBackfill, SkipsInfeasibleCandidatesWithoutRejectingThem) {
-  Fixture f(2, EdfConfig{.admission_control = true, .backfilling = true, .overload = {}});
+  Fixture f(2, backfilling());
   // Shadow time 600 (occupant's estimate) is *later* than the head's
   // deadline, which opens the window for a candidate that fits the window
   // by estimate (580 <= 600) yet cannot meet its own deadline (580 > 560).

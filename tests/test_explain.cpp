@@ -192,8 +192,8 @@ TEST(ExplainRecorder, DeferralClearsNodesAndTheDecisionSetsTheTime) {
 
 TEST(ExplainRecorder, InterleavedJobsFoldIntoTheirOwnRecords) {
   // Queueing policies hold several undecided jobs; node events and
-  // decisions find their record by job id. A started job with no decision
-  // event (an implicit accept) leaves no record, and a decision whose
+  // decisions find their record by job id. A start is not a decision (the
+  // queueing policies admit just before it), and a decision whose
   // submission was never seen is counted and dropped.
   obs::ExplainRecorder rec;
   trace::Recorder emit(rec);
@@ -201,24 +201,29 @@ TEST(ExplainRecorder, InterleavedJobsFoldIntoTheirOwnRecords) {
   emit.job_submitted(2.0, 2, 2, 20.0, 6.0);
   emit.job_submitted(3.0, 3, 1, 30.0, 7.0);
   emit.node_evaluated(4.0, 2, 1, trace::RejectionReason::None, -1.0, 0.5, 0.5);
+  emit.job_admitted(4.0, 3, 0, 1, 0.0, 2.0);
   emit.job_started(4.0, 3, 0, 1, 7.0);
   emit.job_rejected(5.0, 1, trace::RejectionReason::DeadlineInfeasible, 0, 1,
                     -3.0);
   emit.job_admitted(6.0, 2, 1, 1, 0.5, 0.5);
-  emit.job_rejected(7.0, 3, trace::RejectionReason::DeadlineInfeasible, 0, 1);
+  emit.job_started(6.0, 2, 1, 2, 6.0);
   emit.job_rejected(8.0, 9, trace::RejectionReason::NoSuitableNode, 0, 1);
 
-  ASSERT_EQ(rec.decisions().size(), 2u);
-  EXPECT_EQ(rec.decisions()[0].job_id, 1);
-  EXPECT_EQ(rec.decisions()[0].time, 5.0);
-  EXPECT_EQ(rec.decisions()[0].margin, -3.0);
-  EXPECT_TRUE(rec.decisions()[0].nodes.empty());
-  EXPECT_EQ(rec.decisions()[1].job_id, 2);
-  EXPECT_EQ(rec.decisions()[1].num_procs, 2);
-  ASSERT_EQ(rec.decisions()[1].nodes.size(), 1u);
-  EXPECT_EQ(rec.decisions()[1].nodes[0].node, 1);
+  ASSERT_EQ(rec.decisions().size(), 3u);
+  EXPECT_EQ(rec.decisions()[0].job_id, 3);
+  EXPECT_TRUE(rec.decisions()[0].accepted);
+  EXPECT_EQ(rec.decisions()[0].chosen_node, 0);
+  EXPECT_EQ(rec.decisions()[0].margin, 2.0);
+  EXPECT_EQ(rec.decisions()[1].job_id, 1);
+  EXPECT_EQ(rec.decisions()[1].time, 5.0);
+  EXPECT_EQ(rec.decisions()[1].margin, -3.0);
+  EXPECT_TRUE(rec.decisions()[1].nodes.empty());
+  EXPECT_EQ(rec.decisions()[2].job_id, 2);
+  EXPECT_EQ(rec.decisions()[2].num_procs, 2);
+  ASSERT_EQ(rec.decisions()[2].nodes.size(), 1u);
+  EXPECT_EQ(rec.decisions()[2].nodes[0].node, 1);
   EXPECT_EQ(rec.recorded(), 4u);
-  EXPECT_EQ(rec.dropped(), 2u);
+  EXPECT_EQ(rec.dropped(), 1u);
   // Share-test nodes carry no sigma and leave the extremes alone.
   EXPECT_EQ(rec.sigma_extremes().passes, 0u);
 }

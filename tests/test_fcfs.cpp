@@ -1,4 +1,4 @@
-#include "core/fcfs.hpp"
+#include "core/queue.hpp"
 
 #include <gtest/gtest.h>
 
@@ -10,8 +10,19 @@ namespace {
 
 using librisk::testing::JobBuilder;
 
+/// Arrival order; the factory's FCFS and EASY set no dispatch admission.
+QueueConfig arrival_order(bool backfilling, bool dispatch_admission = false) {
+  QueueConfig config;
+  config.order = QueueConfig::Order::Arrival;
+  config.dispatch_admission = dispatch_admission;
+  config.backfilling = backfilling;
+  return config;
+}
+const QueueConfig kFcfs = arrival_order(/*backfilling=*/false);
+const QueueConfig kEasy = arrival_order(/*backfilling=*/true);
+
 struct Fixture {
-  explicit Fixture(int nodes, FcfsConfig config = FcfsConfig{})
+  explicit Fixture(int nodes, QueueConfig config = kEasy)
       : cluster(cluster::Cluster::homogeneous(nodes, 1.0)),
         executor(simulator, cluster),
         scheduler(simulator, executor, collector, config) {}
@@ -25,11 +36,11 @@ struct Fixture {
   cluster::Cluster cluster;
   cluster::SpaceSharedExecutor executor;
   metrics::Collector collector;
-  FcfsScheduler scheduler;
+  QueueScheduler scheduler;
 };
 
 TEST(Fcfs, RunsInArrivalOrder) {
-  Fixture f(1, FcfsConfig{.backfilling = false, .deadline_admission = false});
+  Fixture f(1, kFcfs);
   const workload::Job a = JobBuilder(1).set_runtime(50.0).deadline(1000.0).build();
   const workload::Job b = JobBuilder(2).set_runtime(10.0).deadline(1000.0).build();
   const workload::Job c = JobBuilder(3).set_runtime(10.0).deadline(1000.0).build();
@@ -43,8 +54,7 @@ TEST(Fcfs, RunsInArrivalOrder) {
 }
 
 TEST(Fcfs, PlainFcfsSuffersHeadOfLineBlocking) {
-  FcfsConfig config{.backfilling = false, .deadline_admission = false};
-  Fixture f(2, config);
+  Fixture f(2, kFcfs);
   const workload::Job occupant = JobBuilder(1).set_runtime(100.0).deadline(1000.0).build();
   f.submit(occupant);
   const workload::Job wide =
@@ -61,8 +71,7 @@ TEST(Fcfs, PlainFcfsSuffersHeadOfLineBlocking) {
 }
 
 TEST(Easy, BackfillsIntoTheShadowWindow) {
-  FcfsConfig config{.backfilling = true, .deadline_admission = false};
-  Fixture f(2, config);
+  Fixture f(2, kEasy);
   const workload::Job occupant = JobBuilder(1).set_runtime(100.0).deadline(1000.0).build();
   f.submit(occupant);
   const workload::Job wide =
@@ -78,8 +87,7 @@ TEST(Easy, BackfillsIntoTheShadowWindow) {
 }
 
 TEST(Easy, RefusesBackfillThatWouldDelayHead) {
-  FcfsConfig config{.backfilling = true, .deadline_admission = false};
-  Fixture f(2, config);
+  Fixture f(2, kEasy);
   const workload::Job occupant = JobBuilder(1).set_runtime(100.0).deadline(1000.0).build();
   f.submit(occupant);
   const workload::Job wide =
@@ -95,8 +103,7 @@ TEST(Easy, RefusesBackfillThatWouldDelayHead) {
 }
 
 TEST(Easy, BackfillsOnExtraNodesBeyondHeadNeed) {
-  FcfsConfig config{.backfilling = true, .deadline_admission = false};
-  Fixture f(4, config);
+  Fixture f(4, kEasy);
   const workload::Job occupant =
       JobBuilder(1).set_runtime(100.0).deadline(1000.0).procs(2).build();
   f.submit(occupant);
@@ -113,8 +120,7 @@ TEST(Easy, BackfillsOnExtraNodesBeyondHeadNeed) {
 }
 
 TEST(Easy, UsesEstimatesForReservations) {
-  FcfsConfig config{.backfilling = true, .deadline_admission = false};
-  Fixture f(2, config);
+  Fixture f(2, kEasy);
   // The occupant's *estimate* is 200 though it actually finishes at 50: the
   // shadow time is computed at 200, so a 150-second filler backfills.
   const workload::Job occupant =
@@ -130,8 +136,8 @@ TEST(Easy, UsesEstimatesForReservations) {
 }
 
 TEST(Fcfs, DeadlineAdmissionRejectsAtSelection) {
-  FcfsConfig config{.backfilling = false, .deadline_admission = true};
-  Fixture f(1, config);
+  // Arrival order + dispatch admission (no shipped policy sets this pair).
+  Fixture f(1, arrival_order(/*backfilling=*/false, /*dispatch_admission=*/true));
   const workload::Job running = JobBuilder(1).set_runtime(200.0).deadline(1000.0).build();
   f.submit(running);
   const workload::Job doomed = JobBuilder(2).set_runtime(50.0).deadline(100.0).build();
@@ -149,8 +155,7 @@ TEST(Fcfs, OversizedRequestRejectedAtSubmit) {
 }
 
 TEST(Easy, DrainsMixedWorkloadCompletely) {
-  FcfsConfig config{.backfilling = true, .deadline_admission = false};
-  Fixture f(4, config);
+  Fixture f(4, kEasy);
   rng::Stream stream(13);
   std::vector<workload::Job> jobs;
   jobs.reserve(40);

@@ -26,6 +26,10 @@
 // A second check runs each configuration again with an ExplainRecorder as
 // the live trace sink and requires the same stats as the file-traced run and
 // the same records, counts and extremes as the fold of its .lrt bytes.
+//
+// A third folds each .lrt read-back for conservation: every submitted job
+// reaches exactly one decision event, and every admitted job exactly one
+// end (JobFinished or JobKilled).
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -37,6 +41,7 @@
 #include <string>
 #include <tuple>
 #include <type_traits>
+#include <unordered_map>
 #include <vector>
 
 #include "core/factory.hpp"
@@ -256,6 +261,80 @@ TEST_P(GoldenDigests, LiveExplainEqualsLrtFold) {
       EXPECT_EQ(live.recorded(), offline.recorded()) << label;
       EXPECT_EQ(live.dropped(), offline.dropped()) << label;
       EXPECT_EQ(live.sigma_extremes(), offline.sigma_extremes()) << label;
+    }
+  }
+}
+
+/// The conservation fold over one trace's events. Every JobSubmitted gets
+/// exactly one JobAdmitted, JobDegradedAdmit or JobRejected, after any
+/// JobDeferred; every admitted job gets exactly one JobFinished or
+/// JobKilled. Returns the first violation, or "" when the trace conserves.
+std::string conservation_violation(const std::vector<trace::Event>& events) {
+  enum class Stage { Submitted, Admitted, Rejected, Ended };
+  std::unordered_map<std::int64_t, Stage> stage;
+  const auto fail = [](const trace::Event& e, const char* what) {
+    std::ostringstream os;
+    os << "job " << e.job << ": " << trace::to_string(e.kind) << " at t="
+       << e.time << ' ' << what;
+    return os.str();
+  };
+  for (const trace::Event& e : events) {
+    using trace::EventKind;
+    switch (e.kind) {
+      case EventKind::JobSubmitted:
+        if (!stage.emplace(e.job, Stage::Submitted).second)
+          return fail(e, "repeats a submission");
+        break;
+      case EventKind::JobDeferred:
+      case EventKind::JobAdmitted:
+      case EventKind::JobDegradedAdmit:
+      case EventKind::JobRejected: {
+        const auto it = stage.find(e.job);
+        if (it == stage.end()) return fail(e, "precedes the submission");
+        if (it->second != Stage::Submitted)
+          return fail(e, "follows the job's decision");
+        if (e.kind == EventKind::JobRejected)
+          it->second = Stage::Rejected;
+        else if (e.kind != EventKind::JobDeferred)
+          it->second = Stage::Admitted;
+        break;
+      }
+      case EventKind::JobFinished:
+      case EventKind::JobKilled: {
+        const auto it = stage.find(e.job);
+        if (it == stage.end() || it->second != Stage::Admitted)
+          return fail(e, "ends a job that is not admitted and running");
+        it->second = Stage::Ended;
+        break;
+      }
+      default:
+        break;
+    }
+  }
+  for (const auto& [job, at] : stage) {
+    if (at == Stage::Submitted)
+      return "job " + std::to_string(job) + " was submitted but never decided";
+    if (at == Stage::Admitted)
+      return "job " + std::to_string(job) + " was admitted but never ended";
+  }
+  return "";
+}
+
+TEST_P(GoldenDigests, LrtConservesEveryJob) {
+  const auto [policy, fixture] = GetParam();
+  for (const double scale : {1.0, kHotScale}) {
+    for (const core::DegradedMode mode : core::all_degraded_modes()) {
+      const std::string label = std::string(core::to_string(policy)) + ' ' +
+                                fixture + ' ' + (scale == 1.0 ? "paper" : "hot") +
+                                ' ' + std::string(core::to_string(mode));
+      const Traced traced = traced_run(policy, mode, load_fixture(fixture, scale));
+      std::istringstream in(traced.lrt);
+      const trace::TraceData data = trace::read_lrt(in);
+      EXPECT_EQ(conservation_violation(data.events), "") << label;
+      std::size_t submitted = 0;
+      for (const trace::Event& e : data.events)
+        submitted += e.kind == trace::EventKind::JobSubmitted;
+      EXPECT_EQ(submitted, traced.result.summary.submitted) << label;
     }
   }
 }

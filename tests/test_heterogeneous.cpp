@@ -6,7 +6,7 @@
 
 #include "cluster/spaceshared.hpp"
 #include "cluster/timeshared.hpp"
-#include "core/edf.hpp"
+#include "core/queue.hpp"
 #include "core/factory.hpp"
 #include "core/libra.hpp"
 #include "core/risk.hpp"
@@ -81,7 +81,7 @@ TEST(HeterogeneousClusterDetail, FastNodesFinishJobsSooner) {
   sim::Simulator simulator;
   metrics::Collector collector;
   cluster::SpaceSharedExecutor executor(simulator, cluster);
-  core::EdfScheduler scheduler(simulator, executor, collector, {});
+  core::QueueScheduler scheduler(simulator, executor, collector, {});
 
   // Two identical jobs; EDF assigns node 0 (rating 168) then node 1 (336).
   const Job a = JobBuilder(1).set_runtime(100.0).deadline(400.0).build();

@@ -1,4 +1,4 @@
-#include "core/qops.hpp"
+#include "core/queue.hpp"
 
 #include <gtest/gtest.h>
 
@@ -11,8 +11,16 @@ namespace {
 
 using librisk::testing::JobBuilder;
 
+/// The factory's QoPS configuration with the given slack factor.
+QueueConfig qops(double slack = 1.0) {
+  QueueConfig config;
+  config.dispatch_admission = false;
+  config.qops_slack = slack;
+  return config;
+}
+
 struct Fixture {
-  explicit Fixture(int nodes, QopsConfig config = QopsConfig{})
+  explicit Fixture(int nodes, QueueConfig config = qops())
       : cluster(cluster::Cluster::homogeneous(nodes, 1.0)),
         executor(simulator, cluster),
         scheduler(simulator, executor, collector, config) {}
@@ -26,7 +34,7 @@ struct Fixture {
   cluster::Cluster cluster;
   cluster::SpaceSharedExecutor executor;
   metrics::Collector collector;
-  QopsScheduler scheduler;
+  QueueScheduler scheduler;
 };
 
 TEST(Qops, AcceptsAndRunsFeasibleJob) {
@@ -70,8 +78,7 @@ TEST(Qops, ProtectsQueuedJobsFromLaterArrivals) {
 }
 
 TEST(Qops, SlackFactorAdmitsSoftDeadlineViolations) {
-  QopsConfig config{.slack_factor = 2.0};
-  Fixture f(1, config);
+  Fixture f(1, qops(2.0));
   const workload::Job running = JobBuilder(1).set_runtime(100.0).deadline(500.0).build();
   f.submit(running);
   // Starts at 100, finishes at 190 > deadline 100 but within 2x slack.
@@ -89,7 +96,7 @@ TEST(Qops, SlackFactorValidated) {
   cluster::SpaceSharedExecutor executor(simulator, cl);
   metrics::Collector collector;
   EXPECT_THROW(
-      QopsScheduler(simulator, executor, collector, QopsConfig{.slack_factor = 0.5}),
+      QueueScheduler(simulator, executor, collector, qops(0.5)),
       CheckError);
 }
 

@@ -212,29 +212,52 @@ TEST(TraceReader, MalformedJsonlFailsCleanly) {
 }
 
 TEST(TraceSummary, CountsMatchAdmissionStats) {
-  std::ostringstream os;
-  trace::BinarySink sink(os, {"LibraRisk", 11});
-  const exp::ScenarioResult r = record_into(sink, core::Policy::LibraRisk, 11);
+  // Every policy closes every submission through the scheduler's decision
+  // step, so the trace's decision events and the AdmissionStats agree for
+  // the queueing policies too.
+  for (const core::Policy policy : core::all_policies()) {
+    const std::string name(core::to_string(policy));
+    std::ostringstream os;
+    trace::BinarySink sink(os, {name, 11});
+    const exp::ScenarioResult r = record_into(sink, policy, 11);
 
-  std::istringstream in(os.str());
-  const trace::TraceData data = trace::read_lrt(in);
-  const trace::TraceSummary s = trace::summarize(data.events);
+    std::istringstream in(os.str());
+    const trace::TraceData data = trace::read_lrt(in);
+    const trace::TraceSummary s = trace::summarize(data.events);
 
-  EXPECT_EQ(s.count(trace::EventKind::JobSubmitted), 200u);
-  EXPECT_EQ(s.count(trace::EventKind::JobAdmitted),
-            static_cast<std::uint64_t>(r.summary.accepted));
-  EXPECT_EQ(s.count(trace::EventKind::JobRejected),
-            static_cast<std::uint64_t>(r.summary.rejected_at_submit));
-  EXPECT_EQ(s.count(trace::EventKind::JobStarted),
-            static_cast<std::uint64_t>(r.summary.accepted));
-  // Per-reason attribution in the trace agrees with AdmissionStats.
-  using trace::RejectionReason;
-  EXPECT_EQ(s.rejected_by_reason[static_cast<int>(RejectionReason::ShareOverflow)],
-            r.admission.rejected_share_overflow);
-  EXPECT_EQ(s.rejected_by_reason[static_cast<int>(RejectionReason::RiskSigma)],
-            r.admission.rejected_risk_sigma);
-  EXPECT_EQ(s.rejected_by_reason[static_cast<int>(RejectionReason::NoSuitableNode)],
-            r.admission.rejected_no_suitable_node);
+    EXPECT_EQ(s.count(trace::EventKind::JobSubmitted), 200u) << name;
+    EXPECT_EQ(s.count(trace::EventKind::JobAdmitted) +
+                  s.count(trace::EventKind::JobDegradedAdmit),
+              static_cast<std::uint64_t>(r.summary.accepted))
+        << name;
+    EXPECT_EQ(s.count(trace::EventKind::JobRejected),
+              static_cast<std::uint64_t>(r.summary.rejected_at_submit +
+                                         r.summary.rejected_at_dispatch))
+        << name;
+    EXPECT_EQ(s.count(trace::EventKind::JobStarted),
+              static_cast<std::uint64_t>(r.summary.accepted))
+        << name;
+    EXPECT_EQ(r.admission.accepted, r.summary.accepted) << name;
+    EXPECT_EQ(r.admission.rejections,
+              r.summary.rejected_at_submit + r.summary.rejected_at_dispatch)
+        << name;
+    // Per-reason attribution in the trace agrees with AdmissionStats.
+    using trace::RejectionReason;
+    const auto by = [&s](RejectionReason reason) {
+      return s.rejected_by_reason[static_cast<int>(reason)];
+    };
+    EXPECT_EQ(by(RejectionReason::ShareOverflow),
+              r.admission.rejected_share_overflow)
+        << name;
+    EXPECT_EQ(by(RejectionReason::RiskSigma), r.admission.rejected_risk_sigma)
+        << name;
+    EXPECT_EQ(by(RejectionReason::NoSuitableNode),
+              r.admission.rejected_no_suitable_node)
+        << name;
+    EXPECT_EQ(by(RejectionReason::DeadlineInfeasible),
+              r.admission.rejected_deadline_infeasible)
+        << name;
+  }
 }
 
 TEST(TraceAdmission, PerReasonCountersSumToRejections) {
@@ -444,6 +467,36 @@ TEST_F(TraceToolTest, RecordMarginsAndExplain) {
   // Unknown job / missing flags are parse errors (exit 2).
   EXPECT_EQ(tool({"explain", "--in=" + m, "--job=99999"}, &text), 2);
   EXPECT_EQ(tool({"explain", "--in=" + m}, &text), 2);
+}
+
+TEST_F(TraceToolTest, OfflineExplainMatchesLiveForQueueingPolicies) {
+  // The queueing policies decide through the same step as the Libra family,
+  // so a recorded trace holds a decision for every job: the offline fold
+  // prints the block live `explain` prints.
+  for (const char* policy : {"EDF", "FCFS", "QoPS"}) {
+    const std::vector<std::string> scenario = {
+        "--jobs=200", "--nodes=32", std::string("--policy=") + policy};
+    const std::string lrt = path(std::string(policy) + ".lrt");
+    std::vector<std::string> record = {"record", "--margins", "--out=" + lrt};
+    record.insert(record.end(), scenario.begin(), scenario.end());
+    ASSERT_EQ(tool(record), 0) << policy;
+
+    std::string offline;
+    ASSERT_EQ(tool({"explain", "--in=" + lrt, "--job=1"}, &offline), 0)
+        << policy << ": " << offline;
+    std::vector<std::string> explain = {"--job=1"};
+    explain.insert(explain.end(), scenario.begin(), scenario.end());
+    std::ostringstream live, err;
+    ASSERT_EQ(tool::run_command("explain", explain, live, err), 0) << err.str();
+    // Job 1 arrives at an empty cluster: EDF and FCFS admit it as it
+    // starts, QoPS at submission, before any node is chosen.
+    const bool qops = std::string(policy) == "QoPS";
+    EXPECT_NE(offline.find(qops ? "ACCEPTED before placement" : "ACCEPTED on node 0"),
+              std::string::npos)
+        << offline;
+    // `explain` prints the same describe() block, then its run summary.
+    EXPECT_EQ(live.str().substr(0, offline.size()), offline) << policy;
+  }
 }
 
 TEST_F(TraceToolTest, OfflineExplainMatchesLiveAfterSalvageRetry) {

@@ -66,9 +66,12 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out) {
   out << "\nMetrics:\n" << obs::metrics_table(telemetry.registry()).str();
   const core::AdmissionStats adm = stack->admission_stats();
   if (adm.submissions > 0) {
-    out << "admission: " << table::num(adm.scans_per_submission())
-        << " scans/job, " << table::pct(100.0 * adm.accept_rate())
-        << "% accepted\n";
+    // Only the Libra family scans nodes; a queueing policy's line carries
+    // its accept rate alone.
+    out << "admission: ";
+    if (adm.nodes_scanned > 0)
+      out << table::num(adm.scans_per_submission()) << " scans/job, ";
+    out << table::pct(100.0 * adm.accept_rate()) << "% accepted\n";
     if (adm.batched_assessments > 0 || adm.nodes_batch_skipped > 0)
       out << "batched risk: " << adm.batched_assessments << " assessments, "
           << adm.nodes_batch_skipped << " bound skips\n";
